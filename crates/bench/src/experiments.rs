@@ -1353,12 +1353,11 @@ pub fn s2_calibrate(opts: ExperimentOptions) -> (Vec<RunRecord>, S2CostModel) {
 
 /// **Parallel-scaling sweep** (`experiments threads`): DCFastQC over the
 /// dense-community workloads — including a *skewed* one (a giant planted
-/// community plus a tail of tiny ones, the shape that starves the old
-/// shared-index driver) — with 1..N worker threads. Every multi-thread point
-/// measures both the work-stealing scheduler and the PR-3 shared-atomic-index
-/// baseline, records per-thread busy/steal/idle counters in the JSON rows,
-/// and asserts that the parallel maximal family equals the sequential one
-/// (the CI bench-smoke job runs this at the small preset, so a
+/// community plus a tail of tiny ones, the shape that whole-subproblem
+/// handout cannot balance) — with 1..N worker threads. Every multi-thread
+/// point records per-thread busy/steal/idle counters in the JSON rows, and
+/// the sweep asserts that the parallel maximal family equals the sequential
+/// one (the CI bench-smoke job runs this at the small preset, so a
 /// parallel-vs-sequential disagreement fails the build).
 pub fn thread_sweep(opts: ExperimentOptions) -> Vec<RunRecord> {
     use mqce_graph::generators::{
@@ -1415,7 +1414,7 @@ pub fn thread_sweep(opts: ExperimentOptions) -> Vec<RunRecord> {
         .take_while(|&t| t <= max_threads)
         .collect();
     let mut records = Vec::new();
-    println!("\n== Parallel scaling: DCFastQC, 1..{max_threads} threads (work-stealing vs shared-index) ==");
+    println!("\n== Parallel scaling: DCFastQC, 1..{max_threads} threads (work-stealing) ==");
     println!(
         "{:<16} {:<24} {:>8} {:>12} {:>10} {:>11} {:>8}",
         "dataset", "scheduler", "threads", "S1 time(ms)", "speedup", "efficiency", "#MQC"
@@ -1460,35 +1459,9 @@ pub fn thread_sweep(opts: ExperimentOptions) -> Vec<RunRecord> {
                 );
             }
             records.push(rec);
-            if threads > 1 {
-                // The PR-3 baseline at the same point, for the speedup story.
-                let mut baseline = crate::runner::measure_threads_with(
-                    name,
-                    graph,
-                    AlgoSpec::dcfastqc(),
-                    gamma,
-                    theta,
-                    opts.time_limit,
-                    threads,
-                    mqce_core::ParallelScheduler::SharedIndex,
-                );
-                baseline.algorithm.push_str("/shared-index");
-                let speedup = t1 / baseline.s1_millis.max(0.01);
-                println!(
-                    "{:<16} {:<24} {:>8} {:>12.1} {:>9.2}x {:>10.2}% {:>8}",
-                    name,
-                    "shared-index",
-                    threads,
-                    baseline.s1_millis,
-                    speedup,
-                    100.0 * speedup / threads as f64,
-                    baseline.mqcs
-                );
-                records.push(baseline);
-            }
         }
     }
-    // The MQC family must be thread-count- and scheduler-invariant; compare
+    // The MQC family must be thread-count-invariant; compare
     // the actual families (not just counts) at the largest thread count so
     // the CI smoke run fails loudly on any parallel-vs-sequential drift.
     for &(name, graph, gamma, theta) in &workloads {

@@ -7,8 +7,8 @@
 //! over the same newline-JSON protocol the daemon speaks (extended with
 //! `shard_run` requests and `shard_result` set streams — see
 //! [`crate::protocol`]). Workers are this very binary re-invoked as
-//! `mqce shard-worker`: they decode the slice, run the unchanged streaming
-//! DC drivers via [`mqce_core::run_shard`], and stream the shard-local
+//! `mqce shard-worker`: they decode the slice, run the one DC executor via
+//! [`mqce_core::run_shard`], and stream the shard-local
 //! maximal family back. The coordinator then restores exact global
 //! maximality with [`mqce_core::merge_shard_families`] — one maximality
 //! engine restricted to the cross-shard frontier — so the merged family is

@@ -12,20 +12,37 @@
 //!
 //! The *basic* DC framework of [19, 24] (`BDCFastQC` in Figure 12) is also
 //! provided: it splits on the input order and applies only the one-hop rule.
+//!
+//! # One plan, one executor
+//!
+//! `DcPlan` has a single builder: it reads the `⌈γ(θ−1)⌉`-core off
+//! precomputed core numbers and restricts a *global* total order to it.
+//! `Session` passes its cached degeneracy ordering, `IncrementalSession` its
+//! session-stable order, and the `&Graph` entry points one fresh
+//! `core_decomposition`'s ordering. The restriction is a valid order for
+//! line 2 of Algorithm 3: Batagelj–Zaversnik core numbers never decrease
+//! along the peel, so the k-core is a suffix of the global order, and that
+//! suffix is a min-degree peel of the core — a degeneracy ordering of the
+//! core. Peeling the core a second time would only break ties differently.
+//! (Any total order is sound: Property 2 anchors each maximal QC at its
+//! lowest-ranked member under whatever order is in force.)
+//!
+//! Every run then executes its anchors through the one work-stealing
+//! executor (`scheduler::execute`); [`run_dc_streaming`] and
+//! [`run_dc_parallel`] are thin calls into it.
 
 use std::time::Instant;
 
 use mqce_graph::bitset::{AdjacencyMatrix, BitSet};
-use mqce_graph::core_decomp::{core_decomposition, k_core_vertices};
+use mqce_graph::core_decomp::{core_decomposition, CoreDecomposition};
 use mqce_graph::subgraph::InducedSubgraph;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
-use mqce_settrie::{MaximalityEngine, SetArena};
+use mqce_settrie::MaximalityEngine;
 
 use crate::branch::{SearchOutcome, SearchScratch};
 use crate::config::{AdjacencyBackend, BranchingStrategy, MqceParams};
-use crate::fastqc::run_fastqc_in;
 use crate::quasiclique::{required_degree, tau};
-use crate::quickplus::run_quickplus_in;
+use crate::scheduler::execute;
 use crate::stats::SearchStats;
 
 /// Which branch-and-bound searcher the DC driver invokes per subproblem.
@@ -47,8 +64,6 @@ pub struct DcConfig {
     pub two_hop_pruning: bool,
     /// Number of pruning rounds per subgraph (`MAX_ROUND`).
     pub max_round: usize,
-    /// Reduce the input graph to its `⌈γ(θ−1)⌉`-core first.
-    pub core_reduction: bool,
 }
 
 impl DcConfig {
@@ -58,7 +73,6 @@ impl DcConfig {
             degeneracy_order: true,
             two_hop_pruning: true,
             max_round: 2,
-            core_reduction: true,
         }
     }
 
@@ -68,7 +82,6 @@ impl DcConfig {
             degeneracy_order: false,
             two_hop_pruning: false,
             max_round: 1,
-            core_reduction: true,
         }
     }
 
@@ -81,79 +94,57 @@ impl DcConfig {
 
 /// The prepared decomposition: core-reduced graph, vertex ordering and ranks.
 pub(crate) struct DcPlan {
-    /// The ⌈γ(θ−1)⌉-core of the input (or the whole graph), with id mapping.
+    /// The ⌈γ(θ−1)⌉-core of the input, with id mapping.
     pub(crate) reduced: InducedSubgraph,
     /// Vertices of the reduced graph in processing order.
     pub(crate) ordering: Vec<VertexId>,
-    /// `rank[v]` = position of `v` in `ordering`.
+    /// `rank[v]` = position of `v` in `ordering` (only ever compared).
     pub(crate) rank: Vec<usize>,
 }
 
-/// Lines 1-2 of Algorithm 3: core reduction and vertex ordering.
-pub(crate) fn prepare_plan(g: &Graph, params: MqceParams, dc: DcConfig) -> DcPlan {
-    let core_k = required_degree(params.gamma, params.theta);
-    let reduced: InducedSubgraph = if dc.core_reduction {
-        let keep = k_core_vertices(g, core_k);
-        InducedSubgraph::new(g, &keep)
-    } else {
-        let all: Vec<VertexId> = g.vertices().collect();
-        InducedSubgraph::new(g, &all)
-    };
-    let ordering: Vec<VertexId> = if dc.degeneracy_order {
-        core_decomposition(&reduced.graph).ordering
-    } else {
-        reduced.graph.vertices().collect()
-    };
-    let mut rank = vec![0usize; reduced.graph.num_vertices()];
-    for (i, &v) in ordering.iter().enumerate() {
-        rank[v as usize] = i;
+impl DcPlan {
+    /// Lines 1-2 of Algorithm 3, the one plan builder: reduces `g` to its
+    /// ⌈γ(θ−1)⌉-core (read off `core_numbers`, the core numbers of `g`) and
+    /// restricts the global total `order` to the survivors. `None` keeps the
+    /// input order (the basic DC framework). See the module docs for why the
+    /// restricted degeneracy ordering is a degeneracy ordering of the core.
+    pub(crate) fn new(
+        g: &Graph,
+        core_numbers: &[usize],
+        order: Option<&[VertexId]>,
+        params: MqceParams,
+    ) -> DcPlan {
+        let core_k = required_degree(params.gamma, params.theta);
+        let keep: Vec<VertexId> = g
+            .vertices()
+            .filter(|&v| core_numbers[v as usize] >= core_k)
+            .collect();
+        let reduced = InducedSubgraph::new(g, &keep);
+        let ordering: Vec<VertexId> = match order {
+            Some(order) => order.iter().filter_map(|&v| reduced.local(v)).collect(),
+            None => reduced.graph.vertices().collect(),
+        };
+        let mut rank = vec![0usize; reduced.graph.num_vertices()];
+        for (i, &v) in ordering.iter().enumerate() {
+            rank[v as usize] = i;
+        }
+        DcPlan {
+            reduced,
+            ordering,
+            rank,
+        }
     }
-    DcPlan {
-        reduced,
-        ordering,
-        rank,
-    }
-}
 
-/// [`prepare_plan`] against cached shared state: the core reduction is a
-/// filter over the prepared core numbers and the processing order is the
-/// cached global degeneracy ordering restricted to the surviving vertices —
-/// no per-request core decomposition. Any total order is sound for the DC
-/// drivers (Property 2 assigns each maximal QC to its lowest-ranked member
-/// under whatever order is in force), and the restriction of a degeneracy
-/// ordering keeps the forward-degree bound, so the plan quality matches the
-/// owning path.
-pub(crate) fn prepare_plan_shared(
-    prepared: &crate::prepared::PreparedGraph,
-    params: MqceParams,
-    dc: DcConfig,
-) -> DcPlan {
-    let g = prepared.graph();
-    let core_k = required_degree(params.gamma, params.theta);
-    let reduced: InducedSubgraph = if dc.core_reduction {
-        InducedSubgraph::new(g, &prepared.k_core_vertices(core_k))
-    } else {
-        let all: Vec<VertexId> = g.vertices().collect();
-        InducedSubgraph::new(g, &all)
-    };
-    let ordering: Vec<VertexId> = if dc.degeneracy_order {
-        prepared
-            .cores()
-            .ordering
-            .iter()
-            .filter_map(|&v| reduced.local(v))
-            .collect()
-    } else {
-        reduced.graph.vertices().collect()
-    };
-    let mut rank = vec![0usize; reduced.graph.num_vertices()];
-    for (i, &v) in ordering.iter().enumerate() {
-        rank[v as usize] = i;
-    }
-    DcPlan {
-        reduced,
-        ordering,
-        rank,
+    /// [`DcPlan::new`] from a core decomposition of `g`: its ordering is the
+    /// global order when `dc` asks for degeneracy order.
+    pub(crate) fn from_cores(
+        g: &Graph,
+        cores: &CoreDecomposition,
+        params: MqceParams,
+        dc: DcConfig,
+    ) -> DcPlan {
+        let order = dc.degeneracy_order.then_some(&cores.ordering[..]);
+        DcPlan::new(g, &cores.core_numbers, order, params)
     }
 }
 
@@ -260,120 +251,11 @@ pub(crate) fn build_subproblem_in(
     Some((sub, local_vi))
 }
 
-/// Lines 4-8 of Algorithm 3 for a single anchor vertex `vi`: build and prune
-/// `G_i` in the worker's scratch, run the inner searcher with `S = {v_i}`,
-/// map each output back to the original graph's vertex ids, append it to the
-/// worker's `raw` arena, and stream it into the maximality engine (when one
-/// is attached).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_subproblem_streaming<'e>(
-    plan: &DcPlan,
-    vi: VertexId,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    deadline: Option<Instant>,
-    scratch: &mut DcScratch,
-    stats: &mut SearchStats,
-    raw: &mut SetArena,
-    s2: &mut Option<&mut (dyn MaximalityEngine + 'e)>,
-) {
-    let Some((sub, local_vi)) = build_subproblem_in(plan, vi, params, dc, stats, scratch) else {
-        return;
-    };
-
-    // ---- lines 7-8: run the searcher with S = {v_i} ----
-    //
-    // The searcher runs inside a containment boundary: a panicking
-    // subproblem (a bug, or an injected fault) fails alone instead of
-    // tearing down the whole enumeration — the serve daemon answers many
-    // requests from one process and must outlive any single bad subproblem.
-    // `AssertUnwindSafe` is sound because everything the closure mutates is
-    // discarded wholesale on panic: the search scratch is replaced with a
-    // fresh one and the subproblem's outputs are never extracted (`raw` and
-    // the engine are only touched after the searcher returns), so no torn
-    // state is observable after the catch.
-    let anchor = plan.reduced.to_global[vi as usize];
-    let searched = {
-        let DcScratch {
-            ref mut search,
-            ref cand,
-            ..
-        } = *scratch;
-        let kernel = sub.adjacency.as_ref();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if params.fail_anchor == Some(anchor) {
-                panic!("injected fault: searcher panic at anchor {anchor}");
-            }
-            match inner {
-                InnerAlgorithm::FastQc(branching) => run_fastqc_in(
-                    &sub.graph,
-                    kernel,
-                    &[local_vi],
-                    cand,
-                    params,
-                    branching,
-                    deadline,
-                    None,
-                    search,
-                ),
-                InnerAlgorithm::QuickPlus => run_quickplus_in(
-                    &sub.graph,
-                    kernel,
-                    &[local_vi],
-                    cand,
-                    params,
-                    deadline,
-                    None,
-                    search,
-                ),
-            }
-        }))
-    };
-    let sub_stats = match searched {
-        Ok(sub_stats) => sub_stats,
-        Err(_) => {
-            stats.subproblem_panics += 1;
-            stats.last_panicked_anchor = Some(anchor);
-            // The scratch may hold a half-built search frame; discard it
-            // rather than reuse it (the buffers are rebuilt on first use).
-            scratch.search = SearchScratch::default();
-            return;
-        }
-    };
-    stats.merge(&sub_stats);
-    // Map local → reduced → original ids. Both id maps are sorted ascending,
-    // so the composition is monotone and each mapped set stays sorted.
-    for i in 0..scratch.search.sets.len() {
-        raw.begin();
-        for &l in scratch.search.sets.get(i) {
-            let r = sub.to_global[l as usize];
-            raw.push_elem(plan.reduced.to_global[r as usize]);
-        }
-        let set = raw.commit_sorted();
-        if let Some(engine) = s2.as_deref_mut() {
-            engine.add(set);
-        }
-    }
-    scratch.sub.recycle(sub);
-}
-
-/// Runs the divide-and-conquer enumeration and returns the MQCE-S1 output
-/// (global vertex ids) plus aggregated statistics.
-pub fn run_dc(
-    g: &Graph,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    deadline: Option<Instant>,
-) -> SearchOutcome {
-    run_dc_streaming(g, params, inner, dc, deadline, None)
-}
-
-/// [`run_dc`] with streaming MQCE-S2: each subproblem's outputs are fed into
-/// the maximality engine as the subproblem completes, so duplicate and
-/// dominated quasi-cliques are dropped on arrival and the filtering cost is
-/// amortised across the whole run instead of paid in one post-hoc pass.
+/// Runs the divide-and-conquer enumeration on one thread and returns the
+/// MQCE-S1 output (global vertex ids) plus aggregated statistics. When an
+/// engine is supplied each subproblem's outputs are streamed into it as the
+/// subproblem completes (streaming MQCE-S2), so duplicate and dominated
+/// quasi-cliques are dropped on arrival instead of in one post-hoc pass.
 pub fn run_dc_streaming(
     g: &Graph,
     params: MqceParams,
@@ -382,70 +264,29 @@ pub fn run_dc_streaming(
     deadline: Option<Instant>,
     s2: Option<&mut dyn MaximalityEngine>,
 ) -> SearchOutcome {
-    let plan = prepare_plan(g, params, dc);
-    run_dc_streaming_plan(&plan, params, inner, dc, deadline, s2)
+    let plan = DcPlan::from_cores(g, &core_decomposition(g), params, dc);
+    let engines = s2.into_iter().collect();
+    execute(
+        &plan,
+        &plan.ordering,
+        params,
+        inner,
+        dc,
+        1,
+        deadline,
+        engines,
+    )
 }
 
-/// [`run_dc_streaming`] over an already-prepared [`DcPlan`] — the re-entrant
-/// body the shared-state pipeline entry points call with plans derived from
-/// cached decompositions.
-pub(crate) fn run_dc_streaming_plan(
-    plan: &DcPlan,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    deadline: Option<Instant>,
-    mut s2: Option<&mut dyn MaximalityEngine>,
-) -> SearchOutcome {
-    let mut stats = SearchStats::default();
-    if plan.reduced.graph.num_vertices() == 0 {
-        return SearchOutcome {
-            outputs: Vec::new(),
-            stats,
-            thread_stats: Vec::new(),
-        };
-    }
-    let mut scratch = DcScratch::default();
-    let mut raw = SetArena::new();
-    for &vi in &plan.ordering {
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                stats.timed_out = true;
-                break;
-            }
-        }
-        solve_subproblem_streaming(
-            plan,
-            vi,
-            params,
-            inner,
-            dc,
-            deadline,
-            &mut scratch,
-            &mut stats,
-            &mut raw,
-            &mut s2,
-        );
-        if stats.timed_out {
-            break;
-        }
-    }
-    SearchOutcome {
-        outputs: raw.into_vecs(),
-        stats,
-        thread_stats: Vec::new(),
-    }
-}
-
-/// Multi-threaded variant of [`run_dc`]: the per-vertex subproblems are
-/// distributed over `num_threads` OS threads by a work-stealing scheduler
-/// (per-worker deques seeded in descending estimated cost), and busy
-/// searchers cooperatively split untaken branches of their own search trees
-/// off to hungry workers, so even one giant subproblem parallelises. This is
-/// the "efficient parallel implementation" the paper lists as future work;
-/// the maximal-QC family is identical to the sequential driver's (the raw S1
-/// stream may contain a few extra dominated quasi-cliques from split points,
-/// which MQCE-S2 removes).
+/// Multi-threaded variant of [`run_dc_streaming`] without S2: the
+/// per-vertex subproblems are distributed over `num_threads` OS threads by
+/// the work-stealing executor (per-worker deques seeded in descending
+/// estimated cost), and busy searchers cooperatively split untaken branches
+/// of their own search trees off to hungry workers, so even one giant
+/// subproblem parallelises. This is the "efficient parallel implementation"
+/// the paper lists as future work; the maximal-QC family is identical to the
+/// sequential run's (the raw S1 stream may contain a few extra dominated
+/// quasi-cliques from split points, which MQCE-S2 removes).
 pub fn run_dc_parallel(
     g: &Graph,
     params: MqceParams,
@@ -454,182 +295,16 @@ pub fn run_dc_parallel(
     num_threads: usize,
     deadline: Option<Instant>,
 ) -> SearchOutcome {
-    run_dc_parallel_streaming(g, params, inner, dc, num_threads, deadline, None).0
-}
-
-/// A closure producing fresh per-thread maximality engines.
-pub type EngineFactory<'a> = &'a (dyn Fn() -> Box<dyn MaximalityEngine> + Sync);
-
-/// [`run_dc_parallel`] with streaming MQCE-S2: when an engine factory is
-/// supplied, every worker thread streams the outputs of everything it runs —
-/// whole subproblems and stolen split tasks alike — into its own engine, and
-/// the per-thread engines are returned for the caller to merge (drain each
-/// into one and [`MaximalityEngine::add`] the sets back).
-pub fn run_dc_parallel_streaming(
-    g: &Graph,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    num_threads: usize,
-    deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
-) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 {
-        return match engine_factory {
-            None => (
-                run_dc_streaming(g, params, inner, dc, deadline, None),
-                Vec::new(),
-            ),
-            Some(factory) => {
-                let mut engine = factory();
-                let outcome =
-                    run_dc_streaming(g, params, inner, dc, deadline, Some(engine.as_mut()));
-                (outcome, vec![engine])
-            }
-        };
-    }
-    let plan = prepare_plan(g, params, dc);
-    run_dc_parallel_streaming_plan(
+    let plan = DcPlan::from_cores(g, &core_decomposition(g), params, dc);
+    execute(
         &plan,
+        &plan.ordering,
         params,
         inner,
         dc,
         num_threads,
         deadline,
-        engine_factory,
-    )
-}
-
-/// [`run_dc_parallel_streaming`] over an already-prepared [`DcPlan`]; used
-/// by the shared-state pipeline entry points. Falls back to the sequential
-/// plan driver for one thread.
-pub(crate) fn run_dc_parallel_streaming_plan(
-    plan: &DcPlan,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    num_threads: usize,
-    deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
-) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 {
-        return match engine_factory {
-            None => (
-                run_dc_streaming_plan(plan, params, inner, dc, deadline, None),
-                Vec::new(),
-            ),
-            Some(factory) => {
-                let mut engine = factory();
-                let outcome =
-                    run_dc_streaming_plan(plan, params, inner, dc, deadline, Some(engine.as_mut()));
-                (outcome, vec![engine])
-            }
-        };
-    }
-    if plan.reduced.graph.num_vertices() == 0 {
-        return (SearchOutcome::default(), Vec::new());
-    }
-    crate::scheduler::run_dc_work_stealing(
-        plan,
-        params,
-        inner,
-        dc,
-        num_threads,
-        deadline,
-        engine_factory,
-    )
-}
-
-/// The PR-3 parallel driver: whole subproblems handed out through one shared
-/// atomic index, no stealing and no splitting. Kept as the baseline the
-/// `threads` bench profile compares the work-stealing scheduler against — on
-/// skewed subproblem families this driver idles every worker but the one
-/// holding the heavy subproblem.
-pub fn run_dc_parallel_streaming_shared_index(
-    g: &Graph,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    num_threads: usize,
-    deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
-) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 {
-        return run_dc_parallel_streaming(g, params, inner, dc, 1, deadline, engine_factory);
-    }
-    let plan = prepare_plan(g, params, dc);
-    if plan.reduced.graph.num_vertices() == 0 {
-        return (SearchOutcome::default(), Vec::new());
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let plan_ref = &plan;
-    let next_ref = &next;
-    type WorkerResult = (
-        Vec<Vec<VertexId>>,
-        SearchStats,
-        Option<Box<dyn MaximalityEngine>>,
-    );
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..num_threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut stats = SearchStats::default();
-                    let mut engine = engine_factory.map(|f| f());
-                    let mut scratch = DcScratch::default();
-                    let mut raw = SetArena::new();
-                    let mut engine_ref: Option<&mut dyn MaximalityEngine> = engine.as_deref_mut();
-                    loop {
-                        let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= plan_ref.ordering.len() {
-                            break;
-                        }
-                        if let Some(deadline) = deadline {
-                            if Instant::now() >= deadline {
-                                stats.timed_out = true;
-                                break;
-                            }
-                        }
-                        let vi = plan_ref.ordering[i];
-                        solve_subproblem_streaming(
-                            plan_ref,
-                            vi,
-                            params,
-                            inner,
-                            dc,
-                            deadline,
-                            &mut scratch,
-                            &mut stats,
-                            &mut raw,
-                            &mut engine_ref,
-                        );
-                    }
-                    (raw.into_vecs(), stats, engine)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    let mut stats = SearchStats::default();
-    let mut outputs = Vec::new();
-    let mut engines = Vec::new();
-    for (sub_outputs, sub_stats, engine) in results {
-        stats.merge(&sub_stats);
-        outputs.extend(sub_outputs);
-        engines.extend(engine);
-    }
-    (
-        SearchOutcome {
-            outputs,
-            stats,
-            thread_stats: Vec::new(),
-        },
-        engines,
+        Vec::new(),
     )
 }
 
@@ -746,9 +421,24 @@ mod tests {
         MqceParams::new(gamma, theta).unwrap()
     }
 
+    /// A one-thread run without S2.
+    fn sequential(
+        g: &Graph,
+        p: MqceParams,
+        inner: InnerAlgorithm,
+        dc: DcConfig,
+        deadline: Option<Instant>,
+    ) -> SearchOutcome {
+        run_dc_streaming(g, p, inner, dc, deadline, None)
+    }
+
+    fn plan_for(g: &Graph, p: MqceParams, dc: DcConfig) -> DcPlan {
+        DcPlan::from_cores(g, &core_decomposition(g), p, dc)
+    }
+
     fn check_dc_against_oracle(g: &Graph, gamma: f64, theta: usize, dc: DcConfig) {
         let p = params(gamma, theta);
-        let outcome = run_dc(
+        let outcome = sequential(
             g,
             p,
             InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
@@ -810,7 +500,7 @@ mod tests {
         let g = Graph::paper_figure1();
         for &gamma in &[0.6, 0.9] {
             let p = params(gamma, 3);
-            let outcome = run_dc(&g, p, InnerAlgorithm::QuickPlus, DcConfig::basic(), None);
+            let outcome = sequential(&g, p, InnerAlgorithm::QuickPlus, DcConfig::basic(), None);
             let filtered = filter_maximal(&outcome.outputs);
             assert_eq!(filtered, naive::all_maximal_quasi_cliques(&g, p));
         }
@@ -831,7 +521,7 @@ mod tests {
         }
         let g = Graph::from_edges(20, &edges);
         let p = params(0.9, 6);
-        let outcome = run_dc(
+        let outcome = sequential(
             &g,
             p,
             InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
@@ -850,7 +540,7 @@ mod tests {
         let g = Graph::paper_figure1();
         let p = params(0.6, 3);
         let dc0 = DcConfig::paper_default().with_max_round(0);
-        let outcome = run_dc(
+        let outcome = sequential(
             &g,
             p,
             InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
@@ -878,14 +568,14 @@ mod tests {
             3,
         );
         let p = params(0.9, 8);
-        let paper = run_dc(
+        let paper = sequential(
             &g,
             p,
             InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
             DcConfig::paper_default(),
             None,
         );
-        let basic = run_dc(
+        let basic = sequential(
             &g,
             p,
             InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
@@ -912,7 +602,7 @@ mod tests {
             2025,
         );
         let p = params(0.85, 5);
-        let sequential = run_dc(
+        let sequential = sequential(
             &g,
             p,
             InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
@@ -942,11 +632,12 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_grid_matches_fresh_runs() {
-        // Differential test for the allocation-free hot path: one DcScratch
-        // and one SetArena reused across an entire γ×θ grid must produce
-        // exactly the outputs (families, order, and branch counts) of fresh
-        // per-run state, and of fresh per-*subproblem* state — stale stamps,
-        // recycled CSR buffers, or a dirty arena would all show up here.
+        // Differential test for the allocation-free hot path: the executor's
+        // worker scratch, reused across every subproblem of a run, must
+        // produce exactly the outputs (families, order, and branch counts)
+        // of a brand-new scratch per subproblem (one single-anchor execution
+        // each) at every point of a γ×θ grid — stale stamps, recycled CSR
+        // buffers, or a dirty arena would all show up here.
         use mqce_graph::generators::{community_graph, CommunityGraphParams};
         let g = community_graph(
             CommunityGraphParams {
@@ -959,56 +650,21 @@ mod tests {
         );
         let dc = DcConfig::paper_default();
         let inner = InnerAlgorithm::FastQc(BranchingStrategy::HybridSe);
-        let mut reused = DcScratch::default();
-        let mut raw = SetArena::new();
         for &gamma in &[0.7, 0.85, 0.95] {
             for theta in [3usize, 4, 6] {
                 let p = params(gamma, theta);
-                let fresh = run_dc(&g, p, inner, dc, None);
-                let plan = prepare_plan(&g, p, dc);
-
-                // (a) one scratch reused across the whole grid;
-                raw.clear();
-                let mut stats = SearchStats::default();
-                let mut no_s2: Option<&mut dyn MaximalityEngine> = None;
-                for &vi in &plan.ordering {
-                    solve_subproblem_streaming(
-                        &plan,
-                        vi,
-                        p,
-                        inner,
-                        dc,
-                        None,
-                        &mut reused,
-                        &mut stats,
-                        &mut raw,
-                        &mut no_s2,
-                    );
-                }
-                assert_eq!(raw.to_vecs(), fresh.outputs, "gamma={gamma} theta={theta}");
-                assert_eq!(stats.branches, fresh.stats.branches);
-                assert_eq!(stats.dc_subproblems, fresh.stats.dc_subproblems);
-
-                // (b) a brand-new scratch per subproblem.
-                raw.clear();
+                let reused = sequential(&g, p, inner, dc, None);
+                let plan = plan_for(&g, p, dc);
+                let mut outputs = Vec::new();
                 let mut stats = SearchStats::default();
                 for &vi in &plan.ordering {
-                    let mut per_sub = DcScratch::default();
-                    solve_subproblem_streaming(
-                        &plan,
-                        vi,
-                        p,
-                        inner,
-                        dc,
-                        None,
-                        &mut per_sub,
-                        &mut stats,
-                        &mut raw,
-                        &mut no_s2,
-                    );
+                    let fresh = execute(&plan, &[vi], p, inner, dc, 1, None, Vec::new());
+                    outputs.extend(fresh.outputs);
+                    stats.merge(&fresh.stats);
                 }
-                assert_eq!(raw.to_vecs(), fresh.outputs, "gamma={gamma} theta={theta}");
-                assert_eq!(stats.branches, fresh.stats.branches);
+                assert_eq!(outputs, reused.outputs, "gamma={gamma} theta={theta}");
+                assert_eq!(stats.branches, reused.stats.branches);
+                assert_eq!(stats.dc_subproblems, reused.stats.dc_subproblems);
             }
         }
     }
@@ -1035,7 +691,7 @@ mod tests {
         for &gamma in &[0.8, 0.95] {
             for theta in [3usize, 5] {
                 let p = params(gamma, theta);
-                let sequential = run_dc(&g, p, inner, dc, None);
+                let sequential = sequential(&g, p, inner, dc, None);
                 let expected = filter_maximal(&sequential.outputs);
                 for threads in [1usize, 2, 4] {
                     let parallel = run_dc_parallel(&g, p, inner, dc, threads, None);
@@ -1074,7 +730,7 @@ mod tests {
     #[test]
     fn empty_graph_and_high_theta() {
         let g = Graph::empty(10);
-        let outcome = run_dc(
+        let outcome = sequential(
             &g,
             params(0.9, 2),
             InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
@@ -1083,7 +739,7 @@ mod tests {
         );
         assert!(outcome.outputs.is_empty());
         let g2 = Graph::complete(4);
-        let outcome2 = run_dc(
+        let outcome2 = sequential(
             &g2,
             params(0.9, 10),
             InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),
@@ -1097,7 +753,7 @@ mod tests {
     /// the searcher, so an injected fault at that anchor is guaranteed to
     /// exercise the containment boundary.
     fn first_executing_anchor(g: &Graph, p: MqceParams, dc: DcConfig) -> VertexId {
-        let plan = prepare_plan(g, p, dc);
+        let plan = plan_for(g, p, dc);
         let mut stats = SearchStats::default();
         let mut scratch = DcScratch::default();
         for &vi in &plan.ordering {
@@ -1118,7 +774,7 @@ mod tests {
         let anchor = first_executing_anchor(&g, p, dc);
         p.fail_anchor = Some(anchor);
 
-        let outcome = run_dc(
+        let outcome = sequential(
             &g,
             p,
             InnerAlgorithm::FastQc(BranchingStrategy::HybridSe),

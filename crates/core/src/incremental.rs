@@ -21,17 +21,16 @@
 //!    order is in force), and a stable order means a retained set's anchor
 //!    never silently moves between updates;
 //! 4. retires the sets whose anchor is dirty and re-runs exactly the dirty
-//!    anchors through the existing streaming DC subproblem solver (shared
-//!    atomic index over the dirty list for multi-threaded sessions);
+//!    anchors through the one DC executor (work stealing across the
+//!    session's threads);
 //! 5. merges the fresh streams with only the **frontier** of the retained
-//!    family — retained sets that contain at least one dirty vertex —
-//!    through one fresh [`MaximalityEngine`], restoring exact global
-//!    maximality. Every fresh set contains its dirty anchor, so a retained
-//!    set that could dominate one must contain that dirty vertex too;
-//!    retained sets disjoint from the closure can never interact with the
-//!    fresh stream and bypass the engine entirely, which keeps the
-//!    per-update merge cost proportional to the *local* family, not the
-//!    whole one.
+//!    family — retained sets that contain at least one dirty vertex — in
+//!    the shared frontier merge, restoring exact global maximality. Every
+//!    fresh set contains its dirty anchor, so a retained set that could
+//!    dominate one must contain that dirty vertex too; retained sets
+//!    disjoint from the closure can never interact with the fresh stream and
+//!    bypass the engine entirely, which keeps the per-update merge cost
+//!    proportional to the *local* family, not the whole one.
 //!
 //! Why retiring only dirty-anchored sets is exact: let `H` be maximal in the
 //! new graph with clean anchor `v` (its lowest-ranked member). Every member
@@ -47,19 +46,16 @@
 //! maximal. The differential harness checks this equivalence against full
 //! recompute on random schedules across the γ×θ grid at 1/2/4 threads.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mqce_graph::delta::{dirty_two_hop_closure, update_core_decomposition, GraphDelta};
-use mqce_graph::subgraph::InducedSubgraph;
 use mqce_graph::{Graph, SubproblemScratch, VertexId};
-use mqce_settrie::{MaximalityEngine, SetArena};
 
 use crate::config::MqceConfig;
-use crate::dc::{solve_subproblem_streaming, DcPlan, DcScratch};
-use crate::pipeline::{dc_setup, feed_sets};
+use crate::dc::DcPlan;
+use crate::pipeline::{dc_setup, feed_sets, frontier_merge, merge_engines, worker_engines};
 use crate::prepared::PreparedGraph;
-use crate::quasiclique::required_degree;
+use crate::scheduler::execute;
 use crate::session::Session;
 use crate::stats::SearchStats;
 
@@ -107,36 +103,6 @@ pub struct IncrementalSession {
     family: Vec<Vec<VertexId>>,
     /// Epoch-stamped scratch shared by the dirty walk and the partition.
     scratch: SubproblemScratch,
-}
-
-/// Merges two lexicographically sorted families into one sorted family.
-/// Shared with the shard coordinator, which splices shard-interior sets
-/// around its frontier merge exactly as the incremental update does.
-pub(crate) fn merge_canonical(a: Vec<Vec<VertexId>>, b: Vec<Vec<VertexId>>) -> Vec<Vec<VertexId>> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut a = a.into_iter().peekable();
-    let mut b = b.into_iter().peekable();
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                if x <= y {
-                    out.push(a.next().unwrap());
-                } else {
-                    out.push(b.next().unwrap());
-                }
-            }
-            (Some(_), None) => out.push(a.next().unwrap()),
-            (None, Some(_)) => out.push(b.next().unwrap()),
-            (None, None) => break,
-        }
-    }
-    out
 }
 
 impl IncrementalSession {
@@ -244,22 +210,12 @@ impl IncrementalSession {
         // The dirty plan: core reduction over the updated graph, processing
         // order = the session ordering restricted to the survivors (sound
         // like any total order; stable so provenance is meaningful).
-        let core_k = required_degree(self.config.params.gamma, self.config.params.theta);
-        let reduced = InducedSubgraph::new(prepared.graph(), &prepared.k_core_vertices(core_k));
-        let plan_ordering: Vec<VertexId> = self
-            .ordering
-            .iter()
-            .filter_map(|&v| reduced.local(v))
-            .collect();
-        let mut plan_rank = vec![0usize; reduced.graph.num_vertices()];
-        for (i, &v) in plan_ordering.iter().enumerate() {
-            plan_rank[v as usize] = i;
-        }
-        let plan = DcPlan {
-            reduced,
-            ordering: plan_ordering,
-            rank: plan_rank,
-        };
+        let plan = DcPlan::new(
+            prepared.graph(),
+            &prepared.cores().core_numbers,
+            Some(&self.ordering),
+            self.config.params,
+        );
 
         // Partition the family by anchor provenance and collect the dirty
         // anchors that survived the core reduction, in plan order. One
@@ -299,86 +255,26 @@ impl IncrementalSession {
             .collect();
         let retained_count = (untouched.len() + frontier.len()) as u64;
 
-        // Re-run the dirty subproblems, streaming into fresh engines, then
-        // merge the frontier sets through the same engine: the drain/add
-        // merge is exact over frontier ∪ fresh, and the untouched sets are
-        // spliced back in afterwards.
-        let params = self.config.params;
-        let s2_backend = self.config.s2_backend;
-        let s2_model = self.config.s2_model;
-        let mut engine = s2_backend.new_engine_with_model(s2_model);
-        feed_sets(engine.as_mut(), &frontier, None);
-        let mut stats = SearchStats::default();
-        if self.threads == 1 || dirty_locals.len() <= 1 {
-            let mut scratch = DcScratch::default();
-            let mut raw = SetArena::new();
-            let mut engine_ref: Option<&mut dyn MaximalityEngine> = Some(engine.as_mut());
-            for &vi in &dirty_locals {
-                solve_subproblem_streaming(
-                    &plan,
-                    vi,
-                    params,
-                    inner,
-                    dc,
-                    None,
-                    &mut scratch,
-                    &mut stats,
-                    &mut raw,
-                    &mut engine_ref,
-                );
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let plan_ref = &plan;
-            let locals_ref = &dirty_locals;
-            let next_ref = &next;
-            let results: Vec<(SearchStats, Box<dyn MaximalityEngine>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..self.threads)
-                        .map(|_| {
-                            scope.spawn(move || {
-                                let mut stats = SearchStats::default();
-                                let mut worker_engine = s2_backend.new_engine_with_model(s2_model);
-                                let mut scratch = DcScratch::default();
-                                let mut raw = SetArena::new();
-                                let mut engine_ref: Option<&mut dyn MaximalityEngine> =
-                                    Some(worker_engine.as_mut());
-                                loop {
-                                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                                    if i >= locals_ref.len() {
-                                        break;
-                                    }
-                                    solve_subproblem_streaming(
-                                        plan_ref,
-                                        locals_ref[i],
-                                        params,
-                                        inner,
-                                        dc,
-                                        None,
-                                        &mut scratch,
-                                        &mut stats,
-                                        &mut raw,
-                                        &mut engine_ref,
-                                    );
-                                }
-                                (stats, worker_engine)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("incremental worker panicked"))
-                        .collect()
-                });
-            for (sub_stats, mut worker_engine) in results {
-                stats.merge(&sub_stats);
-                feed_sets(engine.as_mut(), &worker_engine.drain(), None);
-            }
-        }
-        let outcome = engine.finish();
-        // Both halves are in canonical order: `untouched` is a subsequence
-        // of the old canonical family, `finish` returns canonical order.
-        self.family = merge_canonical(untouched, outcome.mqcs);
+        // Re-run the dirty subproblems, one engine per worker, with the
+        // frontier sets preloaded into the first; the engine merge is exact
+        // over frontier ∪ fresh, and the untouched sets are spliced back in
+        // by the frontier merge.
+        let mut engines = worker_engines(&self.config, self.threads);
+        feed_sets(engines[0].as_mut(), &frontier, None);
+        let outcome = execute(
+            &plan,
+            &dirty_locals,
+            self.config.params,
+            inner,
+            dc,
+            self.threads,
+            None,
+            engines.iter_mut().map(|e| e.as_mut()).collect(),
+        );
+        let (engine, _) = merge_engines(engines, None);
+        // `untouched` is a subsequence of the old canonical family, so it is
+        // canonical too.
+        self.family = frontier_merge(engine, vec![untouched]).mqcs;
         self.prepared = prepared;
         UpdateOutcome {
             updates_applied: delta.len() as u64,
@@ -387,7 +283,7 @@ impl IncrementalSession {
             retained: retained_count,
             core_changed: core_update.changed.len() as u64,
             dirty,
-            stats,
+            stats: outcome.stats,
             full_recompute: false,
         }
     }
@@ -396,8 +292,12 @@ impl IncrementalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::enumerate_mqcs_inner as enumerate_mqcs;
+    use crate::pipeline::MqceResult;
     use mqce_graph::generators::{community_graph, CommunityGraphParams};
+
+    fn session_run(g: &Graph, config: &MqceConfig) -> MqceResult {
+        Session::open(g.clone()).config(*config).run()
+    }
 
     /// Incremental family after each batch must equal a fresh full run on
     /// the mutated graph.
@@ -412,7 +312,7 @@ mod tests {
                 current.fingerprint(),
                 "step {step}: graph drifted"
             );
-            let fresh = enumerate_mqcs(&current, &config);
+            let fresh = session_run(&current, &config);
             assert_eq!(
                 session.family(),
                 &fresh.mqcs[..],
@@ -479,7 +379,14 @@ mod tests {
             current = delta.apply(&current);
             schedule.push(delta);
         }
-        check_schedule(g, MqceConfig::new(0.85, 5).unwrap(), 2, &schedule);
+        for threads in [1, 2, 4] {
+            check_schedule(
+                g.clone(),
+                MqceConfig::new(0.85, 5).unwrap(),
+                threads,
+                &schedule,
+            );
+        }
     }
 
     #[test]
@@ -494,7 +401,7 @@ mod tests {
         // Grow the graph: attach a triangle on two new vertices.
         let delta = GraphDelta::new(vec![(8, 9), (8, 10), (9, 10)], vec![]);
         session.update(&delta);
-        let fresh = enumerate_mqcs(&delta.apply(&g), &config);
+        let fresh = session_run(&delta.apply(&g), &config);
         assert_eq!(session.family(), &fresh.mqcs[..]);
     }
 }

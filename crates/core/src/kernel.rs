@@ -16,10 +16,11 @@
 
 use std::collections::HashSet;
 
+use mqce_graph::core_decomp::core_decomposition;
 use mqce_graph::{Graph, VertexId};
 
 use crate::config::{Algorithm, MqceConfig, ParamError};
-use crate::pipeline::enumerate_mqcs_inner as enumerate_mqcs;
+use crate::pipeline::run_pipeline;
 use crate::quasiclique::is_quasi_clique;
 use crate::verify::find_single_vertex_extension;
 
@@ -89,7 +90,7 @@ pub fn expand_kernels(
     // Step 1: exact enumeration of the kernels at the stricter threshold.
     let kernel_config = MqceConfig::new(config.gamma_prime, config.min_kernel_size)?
         .with_algorithm(Algorithm::DcFastQc);
-    let kernels = enumerate_mqcs(g, &kernel_config).mqcs;
+    let kernels = run_pipeline(g, &core_decomposition(g), &kernel_config, 1).mqcs;
     let largest_kernel = kernels.iter().map(Vec::len).max().unwrap_or(0);
 
     // Step 2: expand every kernel at the relaxed threshold.

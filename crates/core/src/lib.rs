@@ -8,13 +8,14 @@
 //! * [`fastqc`] — the FastQC branch-and-bound algorithm (SD-space necessary
 //!   condition, progressive refinement, Sym-SE and Hybrid-SE branching) with
 //!   worst-case time `O(n·d·α_k^n)`, `α_k < 2`.
-//! * [`dc`] — the divide-and-conquer driver (`DCFastQC`) and the basic DC
-//!   framework used as an ablation baseline.
+//! * [`dc`] — the divide-and-conquer framework (`DCFastQC`): the one plan
+//!   builder, the basic DC framework used as an ablation baseline, and the
+//!   `run_dc_*` entry points into the one work-stealing executor.
 //! * [`quickplus`] — the Quick+ baseline with SE branching and Type I/II
 //!   pruning rules.
-//! * [`pipeline`] — the end-to-end MQCE solver: MQCE-S1 (enumeration) plus
-//!   MQCE-S2 (set-trie maximality filtering), returning exactly the maximal
-//!   quasi-cliques of size ≥ θ.
+//! * [`pipeline`] — the end-to-end MQCE solver behind [`Session`]: MQCE-S1
+//!   (enumeration) plus MQCE-S2 (streaming maximality filtering), returning
+//!   exactly the maximal quasi-cliques of size ≥ θ.
 //! * [`naive`] — an exhaustive oracle for differential testing.
 //! * [`quasiclique`] — the γ-quasi-clique predicate and the τ/Δ/σ primitives.
 //!
@@ -64,11 +65,7 @@ pub use config::{
 };
 pub use incremental::{IncrementalSession, UpdateOutcome};
 pub use mqce_settrie::S2Decision;
-#[allow(deprecated)] // the wrappers stay re-exported for downstream code
-pub use pipeline::{
-    enumerate_mqcs, enumerate_mqcs_default, enumerate_mqcs_parallel, enumerate_mqcs_parallel_with,
-    enumerate_mqcs_shared, enumerate_mqcs_shared_parallel, solve_s1, MqceResult, ParallelScheduler,
-};
+pub use pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
 pub use prepared::PreparedGraph;
 pub use query::{find_mqcs_containing, find_mqcs_containing_default, QueryError, QueryResult};
 pub use session::Session;
@@ -88,10 +85,7 @@ pub mod prelude {
         AdjacencyBackend, Algorithm, BranchingStrategy, MqceConfig, MqceParams, S2Backend,
         S2CostModel,
     };
-    #[allow(deprecated)]
-    pub use crate::pipeline::{
-        enumerate_mqcs, enumerate_mqcs_default, enumerate_mqcs_parallel, solve_s1, MqceResult,
-    };
+    pub use crate::pipeline::{enumerate_mqcs_default, solve_s1, MqceResult};
     pub use crate::quasiclique::is_quasi_clique;
     pub use crate::session::Session;
     pub use crate::stats::{S2Stats, SearchStats, ThreadStats};

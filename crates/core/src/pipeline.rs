@@ -1,40 +1,38 @@
 //! End-to-end MQCE pipeline: MQCE-S1 (branch-and-bound enumeration) feeding
 //! a streaming MQCE-S2 maximality engine.
 //!
-//! This is the high-level API most users want: give it a graph and the
-//! parameters, get back exactly the maximal γ-quasi-cliques of size ≥ θ.
-//!
-//! S2 is no longer a batch pass over the full S1 output: the
-//! divide-and-conquer drivers stream each subproblem's quasi-cliques into a
-//! [`MaximalityEngine`] as they are produced (dropping duplicates and
-//! dominated sets on arrival), the parallel driver merges per-thread
-//! engines, and the final compaction honours whatever remains of the
-//! wall-clock budget — a run that exhausts its time limit in S1 no longer
-//! pays an unbounded post-hoc filtering bill on hundreds of thousands of
-//! sets.
+//! There is one pipeline body, `run_pipeline`, behind
+//! [`Session::run`](crate::session::Session::run) and the `&Graph`
+//! conveniences: build the `DcPlan`, `execute` its anchors with one
+//! maximality engine per worker (each subproblem's quasi-cliques are
+//! streamed into the engine as they are produced, dropping duplicates and
+//! dominated sets on arrival), merge the per-worker engines, and
+//! `finalize` under whatever remains of the wall-clock budget — a run that
+//! exhausts its time limit in S1 does not pay an unbounded post-hoc
+//! filtering bill on hundreds of thousands of sets. The same module holds
+//! the S2 merges the other paths share: the per-worker engine merge (also
+//! used by shard workers) and the one `frontier_merge` behind incremental
+//! updates and the shard coordinator.
 
 use std::time::{Duration, Instant};
 
+use mqce_graph::core_decomp::{core_decomposition, CoreDecomposition};
 use mqce_graph::{Graph, VertexId};
-use mqce_settrie::MaximalityEngine;
+use mqce_settrie::{MaximalityEngine, S2Outcome};
 
 use crate::branch::SearchOutcome;
 use crate::config::{Algorithm, MqceConfig, MqceParams};
-use crate::dc::{
-    prepare_plan_shared, run_dc_parallel_streaming, run_dc_parallel_streaming_plan,
-    run_dc_parallel_streaming_shared_index, run_dc_streaming, run_dc_streaming_plan, DcConfig,
-    EngineFactory, InnerAlgorithm,
-};
+use crate::dc::{run_dc_streaming, DcConfig, DcPlan, InnerAlgorithm};
 use crate::fastqc::fastqc_whole_graph;
 use crate::naive;
-use crate::prepared::PreparedGraph;
 use crate::quickplus::quickplus_whole_graph;
+use crate::scheduler::execute;
 use crate::stats::{S2Stats, SearchStats, ThreadStats};
 
 /// Minimum wall-clock slice MQCE-S2 is granted even when S1 consumed the
 /// whole budget: without it a time-limited run whose S1 was cut off would
 /// return no maximal sets at all.
-const S2_MIN_GRACE: Duration = Duration::from_millis(100);
+pub(crate) const S2_MIN_GRACE: Duration = Duration::from_millis(100);
 
 /// Upper bound on the S2 grace slice (10% of the time limit, clamped).
 const S2_MAX_GRACE: Duration = Duration::from_secs(5);
@@ -110,24 +108,11 @@ pub(crate) fn dc_setup(config: &MqceConfig) -> Option<(InnerAlgorithm, DcConfig)
     }
 }
 
-/// Runs MQCE-S1, streaming outputs into `s2` when an engine is supplied and
-/// the algorithm has a DC decomposition (the drivers feed it per
-/// subproblem). Returns the outcome plus whether the engine was fed inline —
-/// whole-graph algorithms produce their outputs in one batch, which the
-/// caller feeds afterwards under the S2 deadline.
-fn solve_s1_streaming(
-    g: &Graph,
-    config: &MqceConfig,
-    deadline: Option<Instant>,
-    mut s2: Option<&mut dyn MaximalityEngine>,
-) -> (SearchOutcome, bool) {
+/// MQCE-S1 for the algorithms without a DC decomposition: they produce
+/// their outputs in one batch, which the caller feeds to S2 afterwards.
+fn solve_whole_graph(g: &Graph, config: &MqceConfig, deadline: Option<Instant>) -> SearchOutcome {
     let params = config.params;
-    if let Some((inner, dc)) = dc_setup(config) {
-        let fed_inline = s2.is_some();
-        let outcome = run_dc_streaming(g, params, inner, dc, deadline, s2.take());
-        return (outcome, fed_inline);
-    }
-    let outcome = match config.algorithm {
+    match config.algorithm {
         Algorithm::FastQc => fastqc_whole_graph(g, params, config.branching, deadline),
         Algorithm::QuickPlusRaw => quickplus_whole_graph(g, params, deadline),
         Algorithm::Naive => {
@@ -142,8 +127,7 @@ fn solve_s1_streaming(
             }
         }
         _ => unreachable!("DC algorithms are handled by dc_setup"),
-    };
-    (outcome, false)
+    }
 }
 
 /// Streams `sets` into `engine`, polling the deadline every few hundred
@@ -166,11 +150,104 @@ pub(crate) fn feed_sets(
     true
 }
 
+/// One fresh maximality engine per worker of a `threads`-worker execution.
+pub(crate) fn worker_engines(
+    config: &MqceConfig,
+    threads: usize,
+) -> Vec<Box<dyn MaximalityEngine>> {
+    (0..threads.max(1))
+        .map(|_| config.s2_backend.new_engine_with_model(config.s2_model))
+        .collect()
+}
+
+/// Merges per-worker engines into the first: each other engine is drained
+/// and its sets re-added, which re-probes them, so sets retained by one
+/// worker but dominated by another worker's results are dropped here.
+/// Returns the merged engine and whether the feed was cut short by
+/// `deadline`.
+pub(crate) fn merge_engines(
+    engines: Vec<Box<dyn MaximalityEngine>>,
+    deadline: Option<Instant>,
+) -> (Box<dyn MaximalityEngine>, bool) {
+    let mut engines = engines.into_iter();
+    let mut engine = engines.next().expect("at least one engine to merge");
+    let mut truncated = false;
+    for mut other in engines {
+        truncated |= !feed_sets(engine.as_mut(), &other.drain(), deadline);
+    }
+    (engine, truncated)
+}
+
+/// Merges two lexicographically sorted families into one sorted family.
+fn merge_canonical(a: Vec<Vec<VertexId>>, b: Vec<Vec<VertexId>>) -> Vec<Vec<VertexId>> {
+    if a.is_empty() {
+        return b;
+    }
+    if b.is_empty() {
+        return a;
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut a = a.into_iter().peekable();
+    let mut b = b.into_iter().peekable();
+    loop {
+        match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => {
+                if x <= y {
+                    out.push(a.next().unwrap());
+                } else {
+                    out.push(b.next().unwrap());
+                }
+            }
+            (Some(_), None) => out.push(a.next().unwrap()),
+            (None, Some(_)) => out.push(b.next().unwrap()),
+            (None, None) => break,
+        }
+    }
+    out
+}
+
+/// The one frontier merge, shared by incremental updates and the shard
+/// coordinator: both hold a union of set families in which only a small
+/// *frontier* can interact, and restore exact maximality over the union
+/// without pushing the rest through an engine.
+///
+/// `engine` holds the frontier sets; each of `interior` is a canonical
+/// (lexicographically sorted) family of the remaining sets. The merge is
+/// exact whenever every interior set is incomparable (under ⊆) with every
+/// other set of the union: then any dominated set `S ⊊ T` of the union has
+/// both `S` and `T` in the frontier, so compacting the engine removes
+/// exactly the dominated sets, and splicing the interior antichains back in
+/// canonical order yields exactly the maximal sets of the union.
+///
+/// The callers establish that condition with the same Property 2 argument:
+/// a quasi-clique has diameter ≤ 2 (γ ≥ ½), so two comparable sets lie in
+/// each other's anchors' closed two-hop balls, and a set classified interior
+/// is one whose anchor's ball provably meets nothing of another part — for
+/// an incremental update, a retained set disjoint from the dirty two-hop
+/// closure; for shards, a set whose anchor's ball stays inside its shard's
+/// rank range.
+pub(crate) fn frontier_merge(
+    engine: Box<dyn MaximalityEngine>,
+    interior: Vec<Vec<Vec<VertexId>>>,
+) -> S2Outcome {
+    let mut outcome = engine.finish();
+    for family in interior {
+        outcome.mqcs = merge_canonical(std::mem::take(&mut outcome.mqcs), family);
+    }
+    outcome
+}
+
 /// Runs only MQCE-S1 with the configured algorithm, returning the raw set of
-/// quasi-cliques (global vertex ids) and the search statistics.
+/// quasi-cliques (global vertex ids) and the search statistics. DC
+/// algorithms plan from one core decomposition of `g`, exactly as
+/// [`Session::run`](crate::session::Session::run) does from its cached one,
+/// so the two report the same S1 counters.
 pub fn solve_s1(g: &Graph, config: &MqceConfig) -> SearchOutcome {
     let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    solve_s1_streaming(g, config, deadline, None).0
+    match dc_setup(config) {
+        Some((inner, dc)) => run_dc_streaming(g, config.params, inner, dc, deadline, None),
+        None => solve_whole_graph(g, config, deadline),
+    }
 }
 
 /// The deadline MQCE-S2 compacts under: the pipeline deadline, but never
@@ -251,125 +328,55 @@ pub(crate) fn finalize(
     }
 }
 
-/// Runs the full MQCE pipeline (S1 + streaming S2) with the given
-/// configuration.
-#[deprecated(note = "use `mqce_core::Session`: `Session::open(g.clone()).config(*config).run()`")]
-pub fn enumerate_mqcs(g: &Graph, config: &MqceConfig) -> MqceResult {
-    enumerate_mqcs_inner(g, config)
-}
-
-/// Owning-path pipeline body shared by [`Session`](crate::session::Session)
-/// and the deprecated free-function wrappers.
-pub(crate) fn enumerate_mqcs_inner(g: &Graph, config: &MqceConfig) -> MqceResult {
+/// The one pipeline body (S1 + streaming S2) behind
+/// [`Session::run`](crate::session::Session::run) and the `&Graph` entry
+/// points: plan from `cores` (the core decomposition of `g`), [`execute`]
+/// on `threads` workers with one engine each, merge the engines, and
+/// [`finalize`]. Algorithms without a DC decomposition run sequentially and
+/// feed their batch output to S2 afterwards.
+pub(crate) fn run_pipeline(
+    g: &Graph,
+    cores: &CoreDecomposition,
+    config: &MqceConfig,
+    threads: usize,
+) -> MqceResult {
     let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let mut engine = config.s2_backend.new_engine_with_model(config.s2_model);
     let s1_start = Instant::now();
-    let (outcome, fed_inline) = solve_s1_streaming(g, config, deadline, Some(engine.as_mut()));
+    let mut engines: Vec<Box<dyn MaximalityEngine>> = Vec::new();
+    let outcome = match dc_setup(config) {
+        Some((inner, dc)) => {
+            let plan = DcPlan::from_cores(g, cores, config.params, dc);
+            engines = worker_engines(config, threads);
+            let streams = engines.iter_mut().map(|e| e.as_mut()).collect();
+            execute(
+                &plan,
+                &plan.ordering,
+                config.params,
+                inner,
+                dc,
+                threads,
+                deadline,
+                streams,
+            )
+        }
+        None => solve_whole_graph(g, config, deadline),
+    };
     let s1_time = s1_start.elapsed();
     // The grace slice is granted exactly once, when post-S1 S2 work starts:
-    // the feed (whole-graph algorithms), then the compaction share it.
+    // the feed (whole-graph algorithms) or the per-worker engine merge, then
+    // the compaction, share it.
     let s2_start = Instant::now();
     let s2_dl = s2_deadline(deadline, config.time_limit);
-    let mut feed_truncated = false;
-    if !fed_inline {
-        feed_truncated = !feed_sets(engine.as_mut(), &outcome.outputs, s2_dl);
-    }
-    finalize(
-        outcome,
-        engine,
-        feed_truncated,
-        s2_dl,
-        s1_time,
-        s2_start,
-        false,
-    )
-}
-
-/// Which parallel DC driver [`enumerate_mqcs_parallel_with`] dispatches to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ParallelScheduler {
-    /// The work-stealing scheduler with cooperative intra-subproblem
-    /// splitting (the default).
-    #[default]
-    WorkStealing,
-    /// The PR-3 shared-atomic-index loop, kept as the baseline the `threads`
-    /// bench profile measures the scheduler against.
-    SharedIndex,
-}
-
-/// Multi-threaded variant of [`enumerate_mqcs`]: the divide-and-conquer
-/// subproblems are distributed over `num_threads` OS threads by a
-/// work-stealing scheduler (the parallel implementation the paper lists as
-/// future work), each worker streaming everything it runs — whole
-/// subproblems and stolen split tasks alike — into its own maximality
-/// engine; the per-thread engines are merged before the final compaction.
-/// For algorithms without a DC decomposition this falls back to the
-/// sequential solver.
-#[deprecated(
-    note = "use `mqce_core::Session`: `Session::open(g.clone()).config(*config).threads(n).run()`"
-)]
-pub fn enumerate_mqcs_parallel(g: &Graph, config: &MqceConfig, num_threads: usize) -> MqceResult {
-    enumerate_mqcs_parallel_with_inner(g, config, num_threads, ParallelScheduler::WorkStealing)
-}
-
-/// [`enumerate_mqcs_parallel`] with an explicit scheduler choice; only the
-/// bench harness should need anything but the default.
-#[deprecated(note = "use `mqce_core::Session` with `.threads(n).scheduler(s)`")]
-pub fn enumerate_mqcs_parallel_with(
-    g: &Graph,
-    config: &MqceConfig,
-    num_threads: usize,
-    scheduler: ParallelScheduler,
-) -> MqceResult {
-    enumerate_mqcs_parallel_with_inner(g, config, num_threads, scheduler)
-}
-
-/// Parallel owning-path pipeline body shared by
-/// [`Session`](crate::session::Session) and the deprecated wrappers.
-pub(crate) fn enumerate_mqcs_parallel_with_inner(
-    g: &Graph,
-    config: &MqceConfig,
-    num_threads: usize,
-    scheduler: ParallelScheduler,
-) -> MqceResult {
-    let Some((inner, dc)) = dc_setup(config) else {
-        return enumerate_mqcs_inner(g, config);
-    };
-    let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let s1_start = Instant::now();
-    let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
-    let driver = match scheduler {
-        ParallelScheduler::WorkStealing => run_dc_parallel_streaming,
-        ParallelScheduler::SharedIndex => run_dc_parallel_streaming_shared_index,
-    };
-    let factory_ref: EngineFactory<'_> = &factory;
-    let (outcome, mut engines) = driver(
-        g,
-        config.params,
-        inner,
-        dc,
-        num_threads,
-        deadline,
-        Some(factory_ref),
-    );
-    let s1_time = s1_start.elapsed();
-    // Merge the per-thread engines: drain each into the first. Re-adding
-    // re-probes, so sets retained by one worker but dominated by another
-    // worker's results are dropped here. The merge is S2 work: it runs
-    // under the same single graced deadline as the final compaction.
-    let s2_start = Instant::now();
-    let s2_dl = s2_deadline(deadline, config.time_limit);
-    let mut engine = if engines.is_empty() {
-        config.s2_backend.new_engine_with_model(config.s2_model)
+    // A multi-worker merge is a merge phase: its dispatch audit is reported
+    // apart from the per-subproblem one.
+    let merge_phase = engines.len() > 1;
+    let (engine, feed_truncated) = if engines.is_empty() {
+        let mut engine = config.s2_backend.new_engine_with_model(config.s2_model);
+        let fed = feed_sets(engine.as_mut(), &outcome.outputs, s2_dl);
+        (engine, !fed)
     } else {
-        engines.remove(0)
+        merge_engines(engines, s2_dl)
     };
-    let mut feed_truncated = false;
-    for mut other in engines {
-        if !feed_sets(engine.as_mut(), &other.drain(), s2_dl) {
-            feed_truncated = true;
-        }
-    }
     finalize(
         outcome,
         engine,
@@ -377,125 +384,20 @@ pub(crate) fn enumerate_mqcs_parallel_with_inner(
         s2_dl,
         s1_time,
         s2_start,
-        true,
-    )
-}
-
-/// Re-entrant variant of [`enumerate_mqcs`] over shared read-only state: the
-/// core reduction and vertex ordering come from the decomposition cached in
-/// the [`PreparedGraph`], so a long-lived process (the `mqce serve` daemon)
-/// answers each request without re-deriving per-graph state. The maximal
-/// family returned is identical to [`enumerate_mqcs`] on the same graph and
-/// configuration. Algorithms without a DC decomposition fall through to the
-/// whole-graph solver (which takes no per-run derived state anyway).
-#[deprecated(
-    note = "use `mqce_core::Session`: `Session::open_prepared(prepared).config(*config).run()`"
-)]
-pub fn enumerate_mqcs_shared(prepared: &PreparedGraph, config: &MqceConfig) -> MqceResult {
-    enumerate_mqcs_shared_inner(prepared, config)
-}
-
-/// Shared-path pipeline body used by [`Session`](crate::session::Session),
-/// the incremental seed, and the deprecated wrapper.
-pub(crate) fn enumerate_mqcs_shared_inner(
-    prepared: &PreparedGraph,
-    config: &MqceConfig,
-) -> MqceResult {
-    let Some((inner, dc)) = dc_setup(config) else {
-        return enumerate_mqcs_inner(prepared.graph(), config);
-    };
-    let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let mut engine = config.s2_backend.new_engine_with_model(config.s2_model);
-    let s1_start = Instant::now();
-    let plan = prepare_plan_shared(prepared, config.params, dc);
-    let outcome = run_dc_streaming_plan(
-        &plan,
-        config.params,
-        inner,
-        dc,
-        deadline,
-        Some(engine.as_mut()),
-    );
-    let s1_time = s1_start.elapsed();
-    let s2_start = Instant::now();
-    let s2_dl = s2_deadline(deadline, config.time_limit);
-    finalize(outcome, engine, false, s2_dl, s1_time, s2_start, false)
-}
-
-/// Multi-threaded variant of [`enumerate_mqcs_shared`]: the work-stealing
-/// scheduler runs over a plan derived from the cached decomposition, and the
-/// per-thread engines are merged exactly as in [`enumerate_mqcs_parallel`].
-#[deprecated(note = "use `mqce_core::Session` with `.threads(n)`")]
-pub fn enumerate_mqcs_shared_parallel(
-    prepared: &PreparedGraph,
-    config: &MqceConfig,
-    num_threads: usize,
-) -> MqceResult {
-    enumerate_mqcs_shared_parallel_inner(prepared, config, num_threads)
-}
-
-/// Parallel shared-path pipeline body used by
-/// [`Session`](crate::session::Session), the incremental seed, and the
-/// deprecated wrapper.
-pub(crate) fn enumerate_mqcs_shared_parallel_inner(
-    prepared: &PreparedGraph,
-    config: &MqceConfig,
-    num_threads: usize,
-) -> MqceResult {
-    if num_threads <= 1 {
-        return enumerate_mqcs_shared_inner(prepared, config);
-    }
-    let Some((inner, dc)) = dc_setup(config) else {
-        return enumerate_mqcs_inner(prepared.graph(), config);
-    };
-    let deadline = config.time_limit.map(|limit| Instant::now() + limit);
-    let s1_start = Instant::now();
-    let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
-    let factory_ref: EngineFactory<'_> = &factory;
-    let plan = prepare_plan_shared(prepared, config.params, dc);
-    let (outcome, mut engines) = run_dc_parallel_streaming_plan(
-        &plan,
-        config.params,
-        inner,
-        dc,
-        num_threads,
-        deadline,
-        Some(factory_ref),
-    );
-    let s1_time = s1_start.elapsed();
-    let s2_start = Instant::now();
-    let s2_dl = s2_deadline(deadline, config.time_limit);
-    let mut engine = if engines.is_empty() {
-        config.s2_backend.new_engine_with_model(config.s2_model)
-    } else {
-        engines.remove(0)
-    };
-    let mut feed_truncated = false;
-    for mut other in engines {
-        if !feed_sets(engine.as_mut(), &other.drain(), s2_dl) {
-            feed_truncated = true;
-        }
-    }
-    finalize(
-        outcome,
-        engine,
-        feed_truncated,
-        s2_dl,
-        s1_time,
-        s2_start,
-        true,
+        merge_phase,
     )
 }
 
 /// Convenience wrapper: enumerate the maximal γ-quasi-cliques of size ≥ θ
-/// using the paper's default algorithm (DCFastQC with Hybrid-SE branching).
+/// using the paper's default algorithm (DCFastQC with Hybrid-SE branching)
+/// on one thread — what `Session::open(g).params(..).run()` returns.
 pub fn enumerate_mqcs_default(
     g: &Graph,
     gamma: f64,
     theta: usize,
 ) -> Result<MqceResult, crate::config::ParamError> {
     let config = MqceConfig::new(gamma, theta)?;
-    Ok(enumerate_mqcs_inner(g, &config))
+    Ok(run_pipeline(g, &core_decomposition(g), &config, 1))
 }
 
 /// Parameters bundle re-exported for callers that only run S1.
@@ -504,18 +406,30 @@ pub fn params(gamma: f64, theta: usize) -> Result<MqceParams, crate::config::Par
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests double as coverage for the deprecated wrappers
 mod tests {
     use super::*;
     use crate::config::BranchingStrategy;
+    use crate::prepared::PreparedGraph;
+    use crate::session::Session;
     use mqce_graph::generators::{planted_quasi_cliques, PlantedGroup};
+
+    fn session_run(g: &Graph, config: &MqceConfig) -> MqceResult {
+        Session::open(g.clone()).config(*config).run()
+    }
+
+    fn session_run_threads(g: &Graph, config: &MqceConfig, threads: usize) -> MqceResult {
+        Session::open(g.clone())
+            .config(*config)
+            .threads(threads)
+            .run()
+    }
 
     #[test]
     fn all_algorithms_agree_on_paper_graph() {
         let g = Graph::paper_figure1();
         for &gamma in &[0.5, 0.6, 0.9, 1.0] {
             for theta in 2..=3 {
-                let reference = enumerate_mqcs(
+                let reference = session_run(
                     &g,
                     &MqceConfig::new(gamma, theta)
                         .unwrap()
@@ -529,7 +443,7 @@ mod tests {
                     Algorithm::QuickPlus,
                     Algorithm::QuickPlusRaw,
                 ] {
-                    let result = enumerate_mqcs(
+                    let result = session_run(
                         &g,
                         &MqceConfig::new(gamma, theta).unwrap().with_algorithm(algo),
                     );
@@ -616,8 +530,8 @@ mod tests {
         );
         for algo in [Algorithm::DcFastQc, Algorithm::QuickPlus, Algorithm::FastQc] {
             let config = MqceConfig::new(0.9, 6).unwrap().with_algorithm(algo);
-            let sequential = enumerate_mqcs(&g, &config);
-            let parallel = enumerate_mqcs_parallel(&g, &config, 4);
+            let sequential = session_run(&g, &config);
+            let parallel = session_run_threads(&g, &config, 4);
             assert_eq!(parallel.mqcs, sequential.mqcs, "{algo:?}");
         }
     }
@@ -631,7 +545,7 @@ mod tests {
             .with_algorithm(Algorithm::QuickPlusRaw)
             .with_time_limit(Duration::from_millis(50));
         let start = Instant::now();
-        let result = enumerate_mqcs(&g, &config);
+        let result = session_run(&g, &config);
         // Either the search finished quickly or it was cut off close to the
         // limit; in no case may it run for many seconds.
         assert!(start.elapsed() < Duration::from_secs(20));
@@ -649,7 +563,7 @@ mod tests {
             S2Backend::Bitset,
             S2Backend::Extremal,
         ] {
-            let result = enumerate_mqcs(
+            let result = session_run(
                 &g,
                 &MqceConfig::new(0.6, 3).unwrap().with_s2_backend(backend),
             );
@@ -680,10 +594,10 @@ mod tests {
             },
             909,
         );
-        let reference = enumerate_mqcs(&g, &MqceConfig::new(0.85, 5).unwrap()).mqcs;
+        let reference = session_run(&g, &MqceConfig::new(0.85, 5).unwrap()).mqcs;
         for backend in [S2Backend::Inverted, S2Backend::Bitset, S2Backend::Extremal] {
             let config = MqceConfig::new(0.85, 5).unwrap().with_s2_backend(backend);
-            let parallel = enumerate_mqcs_parallel(&g, &config, 4);
+            let parallel = session_run_threads(&g, &config, 4);
             assert_eq!(parallel.mqcs, reference, "{backend:?}");
             assert!(!parallel.s2.timed_out);
         }
@@ -712,7 +626,7 @@ mod tests {
                 .with_algorithm(algo)
                 .with_time_limit(Duration::ZERO);
             let start = Instant::now();
-            let result = enumerate_mqcs(&g, &config);
+            let result = session_run(&g, &config);
             let elapsed = start.elapsed();
             assert!(result.s2_timed_out(), "{algo:?}: zero budget not flagged");
             assert!(result.timed_out(), "{algo:?}");
@@ -738,7 +652,11 @@ mod tests {
             },
             4242,
         );
-        let prepared = PreparedGraph::new(g.clone());
+        // The `&Graph` path (one fresh core decomposition) and a session
+        // over a prepared graph (the cached one) plan identically: same
+        // family and, sequentially, the same S1 counters.
+        let prepared = std::sync::Arc::new(PreparedGraph::new(g.clone()));
+        let cores = core_decomposition(&g);
         for algo in [
             Algorithm::DcFastQc,
             Algorithm::BasicDcFastQc,
@@ -746,10 +664,13 @@ mod tests {
             Algorithm::FastQc,
         ] {
             let config = MqceConfig::new(0.85, 5).unwrap().with_algorithm(algo);
-            let owning = enumerate_mqcs(&g, &config);
-            let shared = enumerate_mqcs_shared(&prepared, &config);
+            let owning = run_pipeline(&g, &cores, &config, 1);
+            let session = Session::open_prepared(prepared.clone()).config(config);
+            let shared = session.run();
             assert_eq!(shared.mqcs, owning.mqcs, "{algo:?} shared != owning");
-            let shared_par = enumerate_mqcs_shared_parallel(&prepared, &config, 4);
+            assert_eq!(shared.stats.branches, owning.stats.branches, "{algo:?}");
+            assert_eq!(shared.stats.outputs, owning.stats.outputs, "{algo:?}");
+            let shared_par = session.threads(4).run();
             assert_eq!(shared_par.mqcs, owning.mqcs, "{algo:?} shared parallel");
         }
     }
@@ -757,9 +678,9 @@ mod tests {
     #[test]
     fn shared_pipeline_handles_empty_core() {
         // theta high enough that the core reduction empties the graph.
-        let prepared = PreparedGraph::new(Graph::path(10));
+        let prepared = std::sync::Arc::new(PreparedGraph::new(Graph::path(10)));
         let config = MqceConfig::new(0.9, 5).unwrap();
-        let result = enumerate_mqcs_shared(&prepared, &config);
+        let result = Session::open_prepared(prepared).config(config).run();
         assert!(result.mqcs.is_empty());
         assert!(!result.timed_out());
     }
@@ -776,7 +697,7 @@ mod tests {
             },
             2024,
         );
-        let reference = enumerate_mqcs(
+        let reference = session_run(
             &g,
             &MqceConfig::new(0.8, 5)
                 .unwrap()
@@ -784,7 +705,7 @@ mod tests {
         )
         .mqcs;
         for branching in [BranchingStrategy::SymSe, BranchingStrategy::Se] {
-            let result = enumerate_mqcs(
+            let result = session_run(
                 &g,
                 &MqceConfig::new(0.8, 5)
                     .unwrap()

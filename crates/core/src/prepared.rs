@@ -7,15 +7,12 @@
 //! enough, a packed adjacency matrix — all immutable, so one instance behind
 //! an `Arc` can serve any number of concurrent requests.
 //!
-//! The re-entrant pipeline entry points
-//! ([`crate::pipeline::enumerate_mqcs_shared`] and friends) borrow this
-//! state instead of owning it: per-request core reduction becomes a filter
-//! over the cached core numbers, and the per-request vertex ordering is the
-//! cached global degeneracy ordering restricted to the surviving vertices.
-//! Both are sound for the divide-and-conquer drivers — Property 2 assigns
-//! every maximal quasi-clique to its lowest-ranked member under *any* total
-//! order, and the final maximal family is canonical — so the shared path
-//! returns exactly the family the owning path returns.
+//! [`Session`](crate::session::Session) borrows this state for every run:
+//! per-request core reduction becomes a filter over the cached core numbers,
+//! and the per-request vertex ordering is the cached global degeneracy
+//! ordering restricted to the surviving vertices — exactly what the one DC
+//! plan builder does for a `&Graph` caller from a fresh decomposition (see
+//! [`crate::dc`]), so both return the same family with the same counters.
 
 use mqce_graph::bitset::AdjacencyMatrix;
 use mqce_graph::core_decomp::{core_decomposition, CoreDecomposition};

@@ -23,14 +23,16 @@ use std::time::{Duration, Instant};
 use mqce_graph::subgraph::two_hop_neighborhood;
 use mqce_graph::{Graph, VertexId};
 
-use crate::config::{BranchingStrategy, MqceConfig, MqceParams};
+use crate::config::{BranchingStrategy, MqceConfig, MqceParams, ParamError};
 use crate::fastqc::run_fastqc;
 use crate::quasiclique::is_quasi_clique;
 use crate::stats::SearchStats;
 
 /// Errors specific to query-driven search.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum QueryError {
+    /// The density or size threshold is invalid (`γ ∉ [0.5, 1]` or `θ = 0`).
+    InvalidParams(ParamError),
     /// The query set is empty.
     EmptyQuery,
     /// A query vertex id is not a vertex of the graph.
@@ -42,6 +44,7 @@ pub enum QueryError {
 impl std::fmt::Display for QueryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            QueryError::InvalidParams(e) => write!(f, "invalid parameters: {e}"),
             QueryError::EmptyQuery => write!(f, "the query vertex set is empty"),
             QueryError::VertexOutOfRange(v) => write!(f, "query vertex {v} is not in the graph"),
             QueryError::DuplicateVertex(v) => write!(f, "query vertex {v} appears twice"),
@@ -151,20 +154,17 @@ pub fn find_mqcs_containing(
 
 /// Convenience wrapper with the default configuration (Hybrid-SE branching,
 /// no time limit).
+///
+/// # Errors
+/// [`QueryError::InvalidParams`] for an invalid γ/θ, otherwise as
+/// [`find_mqcs_containing`].
 pub fn find_mqcs_containing_default(
     g: &Graph,
     query: &[VertexId],
     gamma: f64,
     theta: usize,
 ) -> Result<QueryResult, QueryError> {
-    let params = MqceParams::new(gamma, theta).map_err(|_| QueryError::EmptyQuery);
-    // Parameter errors are surfaced through MqceConfig in the public pipeline;
-    // here an invalid γ/θ cannot be represented, so fall back to a panic-free
-    // minimal config only when the parameters are valid.
-    let params = match params {
-        Ok(p) => p,
-        Err(_) => return Err(QueryError::EmptyQuery),
-    };
+    let params = MqceParams::new(gamma, theta).map_err(QueryError::InvalidParams)?;
     let config = MqceConfig {
         params,
         algorithm: crate::config::Algorithm::FastQc,
@@ -305,6 +305,18 @@ mod tests {
             QueryError::DuplicateVertex(1)
         );
         assert!(QueryError::EmptyQuery.to_string().contains("empty"));
+    }
+
+    #[test]
+    fn invalid_parameters_are_a_parameter_error() {
+        let g = Graph::complete(4);
+        assert_eq!(
+            find_mqcs_containing_default(&g, &[0], 0.3, 2).unwrap_err(),
+            QueryError::InvalidParams(ParamError::GammaOutOfRange(0.3))
+        );
+        let err = find_mqcs_containing_default(&g, &[0], 0.9, 0).unwrap_err();
+        assert_eq!(err, QueryError::InvalidParams(ParamError::ThetaZero));
+        assert!(err.to_string().contains("theta"));
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Work-stealing scheduler for the parallel divide-and-conquer driver.
+//! The one DC executor: work stealing over a set of anchors.
 //!
-//! The PR-3 parallel driver handed out whole per-vertex subproblems through
-//! a shared atomic index, which wastes cores on skewed subproblem families:
-//! one heavy subproblem (the planted-community shape) pins a worker for the
-//! whole run while the others drain the cheap tail and go idle. This module
-//! replaces it with a classic work-stealing design à la Chase–Lev, adapted
-//! to the vendored-only constraints (no `crossbeam`): per-worker deques with
-//! a `Mutex`-backed queue behind a lock-free atomic-length fast path, plus
-//! **cooperative intra-subproblem splitting** so even a single giant
-//! subproblem parallelises:
+//! Every divide-and-conquer run goes through [`execute`]: a `Session`
+//! enumeration at any thread count, an incremental update's dirty re-run, a
+//! shard's rank range, and the `dc::run_dc_*` entry points. With one thread
+//! the single worker runs on the calling thread, seeded in plan order — the
+//! sequential loop of Algorithm 3 — and pays for no cost estimates, no split
+//! sink and no spawned thread. With more, it is a classic work-stealing
+//! design à la Chase–Lev, adapted to the vendored-only constraints (no
+//! `crossbeam`): per-worker deques with a `Mutex`-backed queue behind a
+//! lock-free atomic-length fast path, plus **cooperative intra-subproblem
+//! splitting** so even a single giant subproblem parallelises:
 //!
 //! * **Seeding** — subproblems enter the deques in descending estimated
 //!   cost, using the two-hop-pruned candidate-set size `|Γ²(v_i) ∩
@@ -34,7 +35,7 @@
 //! quasi-clique, so the non-hereditary "additional step" may emit a few
 //! extra *valid* (but dominated) quasi-cliques. The streaming MQCE-S2
 //! engine drops those on arrival or at compaction, so the final maximal
-//! family is identical to the sequential driver's.
+//! family is identical to the sequential run's.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,7 +48,7 @@ use mqce_settrie::{MaximalityEngine, SetArena};
 
 use crate::branch::{SearchOutcome, SearchScratch};
 use crate::config::MqceParams;
-use crate::dc::{build_subproblem_in, DcConfig, DcPlan, DcScratch, EngineFactory, InnerAlgorithm};
+use crate::dc::{build_subproblem_in, DcConfig, DcPlan, DcScratch, InnerAlgorithm};
 use crate::fastqc::run_fastqc_in;
 use crate::quickplus::run_quickplus_in;
 use crate::stats::{SearchStats, ThreadStats};
@@ -71,8 +72,8 @@ pub(crate) struct SplitRequest {
 }
 
 /// The donation hook a searcher polls while branching. Implemented by the
-/// scheduler's per-subproblem sink; the searcher only sees this trait so the
-/// sequential drivers pay nothing.
+/// scheduler's per-subproblem sink; the searcher only sees this trait so
+/// one-worker runs pay nothing.
 pub(crate) trait SplitSink {
     /// Whether a hungry worker exists and `rest` untaken sibling branches
     /// are enough to be worth packaging (the `--steal-granularity` knob).
@@ -110,39 +111,52 @@ pub(crate) struct SplitTask {
 
 /// A unit of schedulable work.
 enum Task {
-    /// A whole per-vertex subproblem (index into the plan's ordering).
+    /// A whole per-vertex subproblem (index into the executed anchors).
     Root(usize),
     /// A donated slice of a running subproblem's search tree.
     Split(SplitTask),
 }
 
-/// One worker's deque. The owner pops from the front (its seeds are stored
-/// heaviest-first) and thieves steal from the back; both go through the
-/// mutex, but the atomic length lets every reader skip empty deques without
-/// touching the lock — the fast path that matters when most deques are
-/// drained and workers scan for leftovers.
+/// One worker's deque: the split tasks donated onto its front, then the
+/// root subproblems dealt to it (indices into the executed anchors, stored
+/// heaviest-first). The owner pops from the front and thieves steal from the
+/// back. Roots are kept apart as bare `u32` indices because a run deals out
+/// one per anchor — tens of thousands on sparse graphs — and a full [`Task`]
+/// per root would cost a large allocation for nothing. Both ends go through
+/// the mutex, but the atomic length lets every reader skip empty deques
+/// without touching the lock — the fast path that matters when most deques
+/// are drained and workers scan for leftovers.
 struct WorkerDeque {
-    queue: Mutex<VecDeque<Task>>,
+    queue: Mutex<DequeParts>,
     len: AtomicUsize,
 }
 
+/// The two halves of a [`WorkerDeque`], front to back.
+struct DequeParts {
+    splits: VecDeque<SplitTask>,
+    roots: VecDeque<u32>,
+}
+
+impl DequeParts {
+    fn len(&self) -> usize {
+        self.splits.len() + self.roots.len()
+    }
+}
+
 impl WorkerDeque {
-    fn new() -> Self {
+    fn new(roots: VecDeque<u32>) -> Self {
         WorkerDeque {
-            queue: Mutex::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
+            len: AtomicUsize::new(roots.len()),
+            queue: Mutex::new(DequeParts {
+                splits: VecDeque::new(),
+                roots,
+            }),
         }
     }
 
-    fn push_back(&self, task: Task) {
+    fn push_front(&self, split: SplitTask) {
         let mut q = self.queue.lock().expect("deque poisoned");
-        q.push_back(task);
-        self.len.store(q.len(), Ordering::Release);
-    }
-
-    fn push_front(&self, task: Task) {
-        let mut q = self.queue.lock().expect("deque poisoned");
-        q.push_front(task);
+        q.splits.push_front(split);
         self.len.store(q.len(), Ordering::Release);
     }
 
@@ -151,7 +165,10 @@ impl WorkerDeque {
             return None;
         }
         let mut q = self.queue.lock().expect("deque poisoned");
-        let task = q.pop_front();
+        let task = match q.splits.pop_front() {
+            Some(split) => Some(Task::Split(split)),
+            None => q.roots.pop_front().map(|i| Task::Root(i as usize)),
+        };
         self.len.store(q.len(), Ordering::Release);
         task
     }
@@ -161,13 +178,16 @@ impl WorkerDeque {
             return None;
         }
         let mut q = self.queue.lock().expect("deque poisoned");
-        let task = q.pop_back();
+        let task = match q.roots.pop_back() {
+            Some(i) => Some(Task::Root(i as usize)),
+            None => q.splits.pop_back().map(Task::Split),
+        };
         self.len.store(q.len(), Ordering::Release);
         task
     }
 }
 
-/// The shared scheduler state of one parallel DC run.
+/// The shared scheduler state of one execution.
 struct Scheduler {
     deques: Vec<WorkerDeque>,
     /// Tasks pushed but not yet finished. Workers may exit when this hits 0;
@@ -188,11 +208,25 @@ struct Scheduler {
 }
 
 impl Scheduler {
-    fn new(num_threads: usize, granularity: usize) -> Self {
+    /// A scheduler whose deques hold the root tasks `seeds` (indices into
+    /// the executed anchors), dealt round-robin: each deque stays in `seeds`
+    /// order, so with one worker the run follows `seeds` exactly.
+    fn new(
+        num_threads: usize,
+        granularity: usize,
+        seeds: impl ExactSizeIterator<Item = u32>,
+    ) -> Self {
+        let total = seeds.len();
+        let mut roots: Vec<VecDeque<u32>> = (0..num_threads)
+            .map(|_| VecDeque::with_capacity(total.div_ceil(num_threads)))
+            .collect();
+        for (k, idx) in seeds.enumerate() {
+            roots[k % num_threads].push_back(idx);
+        }
         Scheduler {
-            deques: (0..num_threads).map(|_| WorkerDeque::new()).collect(),
-            outstanding: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
+            deques: roots.into_iter().map(WorkerDeque::new).collect(),
+            outstanding: AtomicUsize::new(total),
+            queued: AtomicUsize::new(total),
             hungry: AtomicUsize::new(0),
             granularity,
         }
@@ -220,11 +254,11 @@ impl Scheduler {
         self.outstanding.fetch_add(branches.len(), Ordering::SeqCst);
         self.queued.fetch_add(branches.len(), Ordering::SeqCst);
         for req in branches {
-            self.deques[worker].push_front(Task::Split(SplitTask {
+            self.deques[worker].push_front(SplitTask {
                 shared: Arc::clone(shared),
                 s_init: req.s_init,
                 cand: req.cand,
-            }));
+            });
         }
     }
 
@@ -262,7 +296,7 @@ impl SplitSink for SubSink<'_> {
 /// `|Γ²(v_i) ∩ later-ranked|` (what `build_subproblem` will materialise).
 /// `tag` must be unique per call within one `stamp` array's lifetime so the
 /// pass allocates nothing per vertex.
-fn two_hop_estimate(plan: &DcPlan, stamp: &mut [u32], tag: u32, vi: mqce_graph::VertexId) -> usize {
+fn two_hop_estimate(plan: &DcPlan, stamp: &mut [u32], tag: u32, vi: VertexId) -> usize {
     let rg = &plan.reduced.graph;
     let my_rank = plan.rank[vi as usize];
     stamp[vi as usize] = tag;
@@ -288,19 +322,19 @@ fn two_hop_estimate(plan: &DcPlan, stamp: &mut [u32], tag: u32, vi: mqce_graph::
     count
 }
 
-/// Per-subproblem cost estimates used to seed the deques (the sequential
-/// pass, kept as the `num_threads == 1` case and the differential reference).
-/// The shard planner reuses it to cost-balance its contiguous rank ranges.
-pub(crate) fn subproblem_estimates(plan: &DcPlan) -> Vec<usize> {
+/// Per-anchor cost estimates of `anchors` (the differential reference for
+/// the parallel pass). The shard planner reuses it to cost-balance its
+/// contiguous rank ranges.
+pub(crate) fn subproblem_estimates(plan: &DcPlan, anchors: &[VertexId]) -> Vec<usize> {
     let mut stamp: Vec<u32> = vec![u32::MAX; plan.reduced.graph.num_vertices()];
-    plan.ordering
+    anchors
         .iter()
         .enumerate()
         .map(|(i, &vi)| two_hop_estimate(plan, &mut stamp, i as u32, vi))
         .collect()
 }
 
-/// Parallel variant of [`subproblem_estimates`]: the ordering is split into
+/// Parallel variant of [`subproblem_estimates`]: the anchors are split into
 /// one contiguous chunk per worker and each chunk runs on its own scoped
 /// thread, reusing the epoch-stamped array of that worker's [`DcScratch`]
 /// (the same array the subproblem builds will use). On very large graphs
@@ -312,20 +346,20 @@ pub(crate) fn subproblem_estimates(plan: &DcPlan) -> Vec<usize> {
 /// the per-thread accounting covers the whole parallel region.
 fn subproblem_estimates_parallel(
     plan: &DcPlan,
+    anchors: &[VertexId],
     num_threads: usize,
     scratches: &mut [DcScratch],
 ) -> (Vec<usize>, Vec<f64>) {
-    let n = plan.ordering.len();
+    let n = anchors.len();
     if num_threads <= 1 || n < 2 {
         let start = Instant::now();
-        let estimates = subproblem_estimates(plan);
+        let estimates = subproblem_estimates(plan, anchors);
         return (estimates, vec![start.elapsed().as_secs_f64() * 1e3]);
     }
     let chunk_len = n.div_ceil(num_threads);
     let num_vertices = plan.reduced.graph.num_vertices();
     let results: Vec<(usize, Vec<usize>, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .ordering
+        let handles: Vec<_> = anchors
             .chunks(chunk_len)
             .enumerate()
             .zip(scratches.iter_mut())
@@ -358,68 +392,97 @@ fn subproblem_estimates_parallel(
     (estimates, millis)
 }
 
-/// Everything one worker accumulated over the run. Mapped outputs are packed
-/// into a flat arena and boxed only once, at the final merge.
-struct WorkerResult {
-    raw: SetArena,
-    stats: SearchStats,
-    engine: Option<Box<dyn MaximalityEngine>>,
-    thread_stats: ThreadStats,
-}
-
-/// Runs the prepared DC plan on `num_threads` workers with work stealing and
-/// cooperative intra-subproblem splitting. Returns the merged outcome (with
-/// per-thread counters) and the per-worker maximality engines.
-pub(crate) fn run_dc_work_stealing(
-    plan: &DcPlan,
+/// What every worker of one execution reads: the plan, the anchors being
+/// run, the search configuration and the deadline.
+#[derive(Clone, Copy)]
+struct Job<'a> {
+    plan: &'a DcPlan,
+    anchors: &'a [VertexId],
     params: MqceParams,
     inner: InnerAlgorithm,
     dc: DcConfig,
-    num_threads: usize,
     deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
-) -> (SearchOutcome, Vec<Box<dyn MaximalityEngine>>) {
-    let sched = Scheduler::new(num_threads, params.steal_granularity);
+}
+
+/// Runs the DC subproblems of `anchors` (plan-local ids, in plan order) on
+/// `threads` workers and returns the merged S1 outcome. `engines` is either
+/// empty (no streaming S2) or holds one maximality engine per worker: each
+/// worker streams the outputs of everything it runs — whole subproblems and
+/// stolen split tasks alike — into its own engine, and the caller merges the
+/// engines afterwards.
+///
+/// With one thread the worker runs on the calling thread, seeded in plan
+/// order, without the cost-estimate pass (it only balances load across
+/// workers) and without a split sink: the same work in the same order as
+/// the sequential loop of Algorithm 3, and no [`ThreadStats`]. With more,
+/// the deques are seeded in descending estimated cost and per-thread
+/// counters are reported.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn execute<'e>(
+    plan: &DcPlan,
+    anchors: &[VertexId],
+    params: MqceParams,
+    inner: InnerAlgorithm,
+    dc: DcConfig,
+    threads: usize,
+    deadline: Option<Instant>,
+    engines: Vec<&mut (dyn MaximalityEngine + 'e)>,
+) -> SearchOutcome {
+    let threads = threads.max(1);
+    assert!(
+        engines.is_empty() || engines.len() == threads,
+        "execute takes no engine or one engine per worker"
+    );
+    if anchors.is_empty() {
+        return SearchOutcome::default();
+    }
+    let job = Job {
+        plan,
+        anchors,
+        params,
+        inner,
+        dc,
+        deadline,
+    };
+    let mut engines = engines.into_iter();
+    if threads == 1 {
+        let sched = Scheduler::new(1, params.steal_granularity, 0..anchors.len() as u32);
+        let worker = Worker::new(&sched, 0, job, DcScratch::default(), engines.next());
+        let (raw, stats, _) = worker.run();
+        return SearchOutcome {
+            outputs: raw.into_vecs(),
+            stats,
+            thread_stats: Vec::new(),
+        };
+    }
+
     // One reusable scratch per worker, threaded through the whole run: the
     // estimate pass below shares its stamp array, then each worker owns one
     // scratch for every subproblem and stolen split task it executes.
-    let mut scratches: Vec<DcScratch> = (0..num_threads).map(|_| DcScratch::default()).collect();
+    let mut scratches: Vec<DcScratch> = (0..threads).map(|_| DcScratch::default()).collect();
     // The cost-estimate pass parallelises over the same worker count; its
     // per-chunk wall-clock is folded into the matching worker's busy time
     // below so ThreadStats covers the whole parallel region.
     let (estimates, estimate_millis) =
-        subproblem_estimates_parallel(plan, num_threads, &mut scratches);
-    let mut seeds: Vec<usize> = (0..plan.ordering.len()).collect();
-    // Descending estimated cost; ties broken by ordering position so the
+        subproblem_estimates_parallel(plan, anchors, threads, &mut scratches);
+    let mut seeds: Vec<u32> = (0..anchors.len() as u32).collect();
+    // Descending estimated cost; ties broken by anchor position so the
     // seeding is deterministic.
-    seeds.sort_by(|&a, &b| estimates[b].cmp(&estimates[a]).then(a.cmp(&b)));
-    sched.outstanding.store(seeds.len(), Ordering::SeqCst);
-    sched.queued.store(seeds.len(), Ordering::SeqCst);
-    // Round-robin over the workers keeps each deque individually descending,
-    // so owners pop their heaviest remaining seed first.
-    for (k, &idx) in seeds.iter().enumerate() {
-        sched.deques[k % num_threads].push_back(Task::Root(idx));
-    }
+    seeds.sort_by(|&a, &b| {
+        estimates[b as usize]
+            .cmp(&estimates[a as usize])
+            .then(a.cmp(&b))
+    });
+    let sched = Scheduler::new(threads, params.steal_granularity, seeds.into_iter());
 
     let sched_ref = &sched;
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
+    let results: Vec<(SetArena, SearchStats, ThreadStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = scratches
             .into_iter()
             .enumerate()
             .map(|(id, scratch)| {
-                scope.spawn(move || {
-                    worker_loop(
-                        sched_ref,
-                        id,
-                        plan,
-                        params,
-                        inner,
-                        dc,
-                        deadline,
-                        engine_factory,
-                        scratch,
-                    )
-                })
+                let engine = engines.next();
+                scope.spawn(move || Worker::new(sched_ref, id, job, scratch, engine).run())
             })
             .collect();
         handles
@@ -428,274 +491,247 @@ pub(crate) fn run_dc_work_stealing(
             .collect()
     });
 
-    let mut stats = SearchStats::default();
-    let mut outputs = Vec::new();
-    let mut engines = Vec::new();
-    let mut thread_stats = Vec::new();
-    for (worker, mut result) in results.into_iter().enumerate() {
-        result.thread_stats.busy_millis += estimate_millis.get(worker).copied().unwrap_or(0.0);
-        stats.merge(&result.stats);
-        outputs.extend(result.raw.into_vecs());
-        engines.extend(result.engine);
-        thread_stats.push(result.thread_stats);
+    let mut outcome = SearchOutcome::default();
+    for (worker, (raw, stats, mut thread_stats)) in results.into_iter().enumerate() {
+        thread_stats.busy_millis += estimate_millis.get(worker).copied().unwrap_or(0.0);
+        outcome.stats.merge(&stats);
+        outcome.outputs.extend(raw.into_vecs());
+        outcome.thread_stats.push(thread_stats);
     }
-    (
-        SearchOutcome {
-            outputs,
-            stats,
-            thread_stats,
-        },
-        engines,
-    )
+    outcome
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    sched: &Scheduler,
+/// One worker of an execution: its scratch, its engine, and everything it
+/// accumulates. Mapped outputs are packed into a flat arena and boxed only
+/// once, when the run ends.
+struct Worker<'a, 'e> {
+    sched: &'a Scheduler,
     id: usize,
-    plan: &DcPlan,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    deadline: Option<Instant>,
-    engine_factory: Option<EngineFactory<'_>>,
-    mut scratch: DcScratch,
-) -> WorkerResult {
-    let mut result = WorkerResult {
-        raw: SetArena::new(),
-        stats: SearchStats::default(),
-        engine: engine_factory.map(|f| f()),
-        thread_stats: ThreadStats {
-            thread: id,
-            ..Default::default()
-        },
-    };
-    loop {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            if sched.work_remains() {
-                result.stats.timed_out = true;
-            }
-            break;
+    job: Job<'a>,
+    scratch: DcScratch,
+    engine: Option<&'a mut (dyn MaximalityEngine + 'e)>,
+    raw: SetArena,
+    stats: SearchStats,
+    thread_stats: ThreadStats,
+}
+
+impl<'a, 'e> Worker<'a, 'e> {
+    fn new(
+        sched: &'a Scheduler,
+        id: usize,
+        job: Job<'a>,
+        scratch: DcScratch,
+        engine: Option<&'a mut (dyn MaximalityEngine + 'e)>,
+    ) -> Self {
+        Worker {
+            sched,
+            id,
+            job,
+            scratch,
+            engine,
+            raw: SetArena::new(),
+            stats: SearchStats::default(),
+            thread_stats: ThreadStats {
+                thread: id,
+                ..Default::default()
+            },
         }
-        match sched.find_task(id) {
-            Some((task, stolen)) => {
-                if stolen {
-                    result.thread_stats.steals += 1;
-                    result.stats.tasks_stolen += 1;
+    }
+
+    /// Runs tasks until no work remains (or the deadline passes) and returns
+    /// the worker's outputs and counters. Whatever wall-clock the worker did
+    /// not spend hungry it spent executing tasks, so busy time is read off
+    /// once at the end rather than timed per task.
+    fn run(mut self) -> (SetArena, SearchStats, ThreadStats) {
+        let sched = self.sched;
+        let deadline = self.job.deadline;
+        let start = Instant::now();
+        loop {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                if sched.work_remains() {
+                    self.stats.timed_out = true;
                 }
-                let start = Instant::now();
-                run_task(
-                    sched,
-                    id,
-                    task,
-                    plan,
-                    params,
-                    inner,
-                    dc,
-                    deadline,
-                    &mut scratch,
-                    &mut result,
-                );
-                sched.outstanding.fetch_sub(1, Ordering::SeqCst);
-                result.thread_stats.busy_millis += start.elapsed().as_secs_f64() * 1e3;
+                break;
             }
-            None => {
-                if !sched.work_remains() {
-                    break;
+            match sched.find_task(self.id) {
+                Some((task, stolen)) => {
+                    if stolen {
+                        self.thread_stats.steals += 1;
+                        self.stats.tasks_stolen += 1;
+                    }
+                    self.run_task(task);
+                    sched.outstanding.fetch_sub(1, Ordering::SeqCst);
                 }
-                // Hungry: advertise it (searchers poll this to donate) and
-                // wait for work to appear or the run to end.
-                let start = Instant::now();
-                sched.hungry.fetch_add(1, Ordering::SeqCst);
-                let mut spins = 0u32;
-                loop {
-                    if !sched.work_remains()
-                        || sched
-                            .deques
-                            .iter()
-                            .any(|d| d.len.load(Ordering::Acquire) > 0)
-                        || deadline.is_some_and(|d| Instant::now() >= d)
-                    {
+                None => {
+                    if !sched.work_remains() {
                         break;
                     }
-                    spins += 1;
-                    if spins < IDLE_SPINS_BEFORE_SLEEP {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(IDLE_SLEEP);
+                    // Hungry: advertise it (searchers poll this to donate) and
+                    // wait for work to appear or the run to end.
+                    let hungry_since = Instant::now();
+                    sched.hungry.fetch_add(1, Ordering::SeqCst);
+                    let mut spins = 0u32;
+                    loop {
+                        if !sched.work_remains()
+                            || sched
+                                .deques
+                                .iter()
+                                .any(|d| d.len.load(Ordering::Acquire) > 0)
+                            || deadline.is_some_and(|d| Instant::now() >= d)
+                        {
+                            break;
+                        }
+                        spins += 1;
+                        if spins < IDLE_SPINS_BEFORE_SLEEP {
+                            std::thread::yield_now();
+                        } else {
+                            std::thread::sleep(IDLE_SLEEP);
+                        }
                     }
+                    sched.hungry.fetch_sub(1, Ordering::SeqCst);
+                    self.thread_stats.idle_millis += hungry_since.elapsed().as_secs_f64() * 1e3;
                 }
-                sched.hungry.fetch_sub(1, Ordering::SeqCst);
-                result.thread_stats.idle_millis += start.elapsed().as_secs_f64() * 1e3;
+            }
+        }
+        self.thread_stats.busy_millis =
+            (start.elapsed().as_secs_f64() * 1e3 - self.thread_stats.idle_millis).max(0.0);
+        (self.raw, self.stats, self.thread_stats)
+    }
+
+    fn run_task(&mut self, task: Task) {
+        match task {
+            Task::Root(idx) => {
+                let Job {
+                    plan,
+                    anchors,
+                    params,
+                    dc,
+                    ..
+                } = self.job;
+                let vi = anchors[idx];
+                self.thread_stats.subproblems += 1;
+                let Some((sub, local_vi)) =
+                    build_subproblem_in(plan, vi, params, dc, &mut self.stats, &mut self.scratch)
+                else {
+                    return;
+                };
+                // Pre-compose local → original in place (both id maps are
+                // sorted ascending, so the composition stays sorted) so split
+                // tasks never need the plan.
+                let InducedSubgraph {
+                    graph,
+                    to_global,
+                    adjacency,
+                } = sub;
+                let mut to_orig = to_global;
+                for r in to_orig.iter_mut() {
+                    *r = plan.reduced.to_global[*r as usize];
+                }
+                let shared = Arc::new(SubShared {
+                    graph,
+                    kernel: adjacency,
+                    to_orig,
+                });
+                // The pruned candidate list lives in the scratch; move it out
+                // for the search (no copy) and put it back afterwards.
+                let cand = std::mem::take(&mut self.scratch.cand);
+                self.execute_branch(&shared, &[local_vi], &cand);
+                self.scratch.cand = cand;
+                // If no outstanding split task still holds the subproblem,
+                // take its buffers back so the next build reuses them.
+                if let Ok(sh) = Arc::try_unwrap(shared) {
+                    self.scratch.sub.recycle_graph(sh.graph, sh.to_orig);
+                }
+            }
+            Task::Split(split) => {
+                self.thread_stats.splits += 1;
+                self.stats.split_executed += 1;
+                self.execute_branch(&split.shared, &split.s_init, &split.cand);
             }
         }
     }
-    result
-}
 
-#[allow(clippy::too_many_arguments)]
-fn run_task(
-    sched: &Scheduler,
-    id: usize,
-    task: Task,
-    plan: &DcPlan,
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    dc: DcConfig,
-    deadline: Option<Instant>,
-    scratch: &mut DcScratch,
-    result: &mut WorkerResult,
-) {
-    match task {
-        Task::Root(idx) => {
-            let vi = plan.ordering[idx];
-            result.thread_stats.subproblems += 1;
-            let Some((sub, local_vi)) =
-                build_subproblem_in(plan, vi, params, dc, &mut result.stats, scratch)
-            else {
-                return;
-            };
-            // Pre-compose local → original in place (both id maps are sorted
-            // ascending, so the composition stays sorted) so split tasks
-            // never need the plan.
-            let InducedSubgraph {
-                graph,
-                to_global,
-                adjacency,
-            } = sub;
-            let mut to_orig = to_global;
-            for r in to_orig.iter_mut() {
-                *r = plan.reduced.to_global[*r as usize];
+    /// Runs the configured searcher on one branch of a subproblem (the whole
+    /// subproblem when `s_init = [v_i]`) with the worker's reusable search
+    /// scratch, maps the outputs to original-graph ids into the worker's
+    /// flat arena, and streams them into the worker's engine.
+    fn execute_branch(&mut self, shared: &Arc<SubShared>, s_init: &[VertexId], cand: &[VertexId]) {
+        let Job {
+            params,
+            inner,
+            deadline,
+            ..
+        } = self.job;
+        // A lone worker has nobody to donate to: it runs without a sink.
+        let sink = (self.sched.deques.len() > 1).then(|| SubSink {
+            sched: self.sched,
+            shared: Arc::clone(shared),
+            worker: self.id,
+        });
+        let splitter = sink.as_ref().map(|s| s as &dyn SplitSink);
+        let kernel = shared.kernel.as_ref();
+        let search = &mut self.scratch.search;
+        // Containment boundary: a panicking branch fails alone instead of
+        // tearing down the whole enumeration — the serve daemon answers many
+        // requests from one process and must outlive any single bad
+        // subproblem. `AssertUnwindSafe` is sound because on panic everything
+        // the closure mutated is discarded or already consistent: the search
+        // scratch is replaced wholesale below, the worker arena and engine
+        // are untouched until the searcher returns, and any branches donated
+        // through the sink before the panic are self-contained tasks already
+        // counted in `outstanding` (they run independently of this branch's
+        // fate). `run` still decrements `outstanding` after this returns, so
+        // containment never hangs the barrier.
+        let anchor = s_init.first().map(|&l| shared.to_orig[l as usize]);
+        let searched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(a) = anchor {
+                if params.fail_anchor == Some(a) {
+                    panic!("injected fault: searcher panic at anchor {a}");
+                }
             }
-            let shared = Arc::new(SubShared {
-                graph,
-                kernel: adjacency,
-                to_orig,
-            });
-            {
-                let DcScratch {
-                    ref mut search,
-                    ref cand,
-                    ..
-                } = *scratch;
-                execute_branch(
-                    sched,
-                    id,
-                    &shared,
-                    &[local_vi],
+            match inner {
+                InnerAlgorithm::FastQc(branching) => run_fastqc_in(
+                    &shared.graph,
+                    kernel,
+                    s_init,
                     cand,
                     params,
-                    inner,
+                    branching,
                     deadline,
+                    splitter,
                     search,
-                    result,
-                );
+                ),
+                InnerAlgorithm::QuickPlus => run_quickplus_in(
+                    &shared.graph,
+                    kernel,
+                    s_init,
+                    cand,
+                    params,
+                    deadline,
+                    splitter,
+                    search,
+                ),
             }
-            // If no outstanding split task still holds the subproblem, take
-            // its buffers back so the next build reuses them.
-            if let Ok(sh) = Arc::try_unwrap(shared) {
-                scratch.sub.recycle_graph(sh.graph, sh.to_orig);
+        }));
+        let stats = match searched {
+            Ok(stats) => stats,
+            Err(_) => {
+                self.stats.subproblem_panics += 1;
+                self.stats.last_panicked_anchor = anchor;
+                *search = SearchScratch::default();
+                return;
             }
-        }
-        Task::Split(split) => {
-            result.thread_stats.splits += 1;
-            result.stats.split_executed += 1;
-            execute_branch(
-                sched,
-                id,
-                &split.shared,
-                &split.s_init,
-                &split.cand,
-                params,
-                inner,
-                deadline,
-                &mut scratch.search,
-                result,
-            );
-        }
-    }
-}
-
-/// Runs the configured searcher on one branch of a subproblem (the whole
-/// subproblem when `s_init = [v_i]`) with the worker's reusable search
-/// scratch, maps the outputs to original-graph ids into the worker's flat
-/// arena, and streams them into the worker's engine.
-#[allow(clippy::too_many_arguments)]
-fn execute_branch(
-    sched: &Scheduler,
-    id: usize,
-    shared: &Arc<SubShared>,
-    s_init: &[VertexId],
-    cand: &[VertexId],
-    params: MqceParams,
-    inner: InnerAlgorithm,
-    deadline: Option<Instant>,
-    search: &mut SearchScratch,
-    result: &mut WorkerResult,
-) {
-    let sink = SubSink {
-        sched,
-        shared: Arc::clone(shared),
-        worker: id,
-    };
-    let kernel = shared.kernel.as_ref();
-    // Containment boundary: a panicking branch fails alone. `AssertUnwindSafe`
-    // is sound because on panic everything the closure mutated is discarded or
-    // already consistent: the search scratch is replaced wholesale below, the
-    // worker arena and engine are untouched until the searcher returns, and
-    // any branches donated through the sink before the panic are self-contained
-    // tasks already counted in `outstanding` (they run independently of this
-    // branch's fate). `worker_loop` still decrements `outstanding` after this
-    // returns, so containment never hangs the barrier.
-    let anchor = s_init.first().map(|&l| shared.to_orig[l as usize]);
-    let searched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(a) = anchor {
-            if params.fail_anchor == Some(a) {
-                panic!("injected fault: searcher panic at anchor {a}");
+        };
+        self.stats.merge(&stats);
+        for i in 0..search.sets.len() {
+            self.raw.begin();
+            for &l in search.sets.get(i) {
+                self.raw.push_elem(shared.to_orig[l as usize]);
             }
-        }
-        match inner {
-            InnerAlgorithm::FastQc(branching) => run_fastqc_in(
-                &shared.graph,
-                kernel,
-                s_init,
-                cand,
-                params,
-                branching,
-                deadline,
-                Some(&sink),
-                search,
-            ),
-            InnerAlgorithm::QuickPlus => run_quickplus_in(
-                &shared.graph,
-                kernel,
-                s_init,
-                cand,
-                params,
-                deadline,
-                Some(&sink),
-                search,
-            ),
-        }
-    }));
-    let stats = match searched {
-        Ok(stats) => stats,
-        Err(_) => {
-            result.stats.subproblem_panics += 1;
-            result.stats.last_panicked_anchor = anchor;
-            *search = SearchScratch::default();
-            return;
-        }
-    };
-    result.stats.merge(&stats);
-    for i in 0..search.sets.len() {
-        result.raw.begin();
-        for &l in search.sets.get(i) {
-            result.raw.push_elem(shared.to_orig[l as usize]);
-        }
-        let set = result.raw.commit_sorted();
-        if let Some(engine) = result.engine.as_deref_mut() {
-            engine.add(set);
+            let set = self.raw.commit_sorted();
+            if let Some(engine) = self.engine.as_deref_mut() {
+                engine.add(set);
+            }
         }
     }
 }
@@ -707,8 +743,13 @@ mod tests {
     use crate::fastqc::run_fastqc_split;
     use crate::naive;
     use crate::quickplus::run_quickplus_split;
+    use mqce_graph::core_decomp::core_decomposition;
     use mqce_settrie::filter_maximal;
     use std::cell::{Cell, RefCell};
+
+    fn plan_for(g: &Graph, params: MqceParams, dc: DcConfig) -> DcPlan {
+        DcPlan::from_cores(g, &core_decomposition(g), params, dc)
+    }
 
     /// A sink that accepts every offered split: the searcher donates its
     /// untaken branches at the first opportunity of every shallow frame, so
@@ -877,17 +918,16 @@ mod tests {
 
     #[test]
     fn parallel_estimates_match_sequential() {
-        use crate::dc::DcConfig;
         for (n, m, seed) in [(40usize, 160usize, 3u64), (120, 900, 8), (7, 10, 1)] {
             let g = mqce_graph::generators::erdos_renyi_gnm(n, m, seed);
             let params = MqceParams::new(0.9, 3).unwrap();
-            let plan = crate::dc::prepare_plan(&g, params, DcConfig::paper_default());
-            let sequential = subproblem_estimates(&plan);
+            let plan = plan_for(&g, params, DcConfig::paper_default());
+            let sequential = subproblem_estimates(&plan, &plan.ordering);
             for threads in [1usize, 2, 3, 8, 64] {
                 let mut scratches: Vec<DcScratch> =
                     (0..threads).map(|_| DcScratch::default()).collect();
                 let (parallel, millis) =
-                    subproblem_estimates_parallel(&plan, threads, &mut scratches);
+                    subproblem_estimates_parallel(&plan, &plan.ordering, threads, &mut scratches);
                 assert_eq!(parallel, sequential, "threads={threads} n={n}");
                 // One timing slot per worker (a single slot when the
                 // sequential path was taken), all finite and non-negative.
@@ -899,12 +939,11 @@ mod tests {
 
     #[test]
     fn estimates_match_subproblem_sizes() {
-        use crate::dc::DcConfig;
         let g = mqce_graph::generators::erdos_renyi_gnm(40, 160, 3);
         let params = MqceParams::new(0.9, 3).unwrap();
         let dc = DcConfig::paper_default();
-        let plan = crate::dc::prepare_plan(&g, params, dc);
-        let estimates = subproblem_estimates(&plan);
+        let plan = plan_for(&g, params, dc);
+        let estimates = subproblem_estimates(&plan, &plan.ordering);
         let mut scratch = DcScratch::default();
         for (i, &vi) in plan.ordering.iter().enumerate() {
             let mut stats = SearchStats::default();
@@ -920,11 +959,10 @@ mod tests {
 
     #[test]
     fn work_stealing_contains_injected_searcher_panics() {
-        use crate::dc::DcConfig;
         let g = mqce_graph::generators::erdos_renyi_gnm(20, 95, 11);
         let dc = DcConfig::paper_default();
         let mut params = MqceParams::new(0.85, 3).unwrap();
-        let plan = crate::dc::prepare_plan(&g, params, dc);
+        let plan = plan_for(&g, params, dc);
 
         // Find an anchor whose subproblem actually reaches the searcher.
         let mut scratch = DcScratch::default();
@@ -953,8 +991,16 @@ mod tests {
         // donated splits of the poisoned subproblem share its anchor and may
         // re-panic on other workers — and keep every other subproblem's
         // outputs intact.
-        let (outcome, _) =
-            run_dc_work_stealing(&plan, params, InnerAlgorithm::QuickPlus, dc, 3, None, None);
+        let outcome = execute(
+            &plan,
+            &plan.ordering,
+            params,
+            InnerAlgorithm::QuickPlus,
+            dc,
+            3,
+            None,
+            Vec::new(),
+        );
         assert!(outcome.stats.subproblem_panics >= 1);
         assert_eq!(outcome.stats.last_panicked_anchor, Some(anchor));
         assert!(!outcome.stats.timed_out);

@@ -1,13 +1,10 @@
 //! The unified, builder-style entry point to the MQCE pipeline.
 //!
-//! Historically the crate grew five overlapping enumeration entry points
-//! (`enumerate_mqcs`, `enumerate_mqcs_parallel[_with]`,
-//! `enumerate_mqcs_shared[_parallel]`) plus a separate
-//! [`IncrementalSession`] and a standalone query function. [`Session`]
-//! collapses them: open a graph once (the decomposition — degeneracy
-//! ordering, core numbers, fingerprint — is derived once and shared), then
-//! run batch enumerations, per-vertex queries, and edge-update batches
-//! against the same state.
+//! Open a graph once (the decomposition — degeneracy ordering, core
+//! numbers, fingerprint — is derived once and shared), then run batch
+//! enumerations, per-vertex queries, and edge-update batches against the
+//! same state. Everything in-tree (the CLI, the serve daemon, the shard
+//! worker, the fuzzer, the bench harness) enumerates through [`Session`].
 //!
 //! ```
 //! use mqce_core::{MqceParams, Session};
@@ -21,11 +18,6 @@
 //! let q = session.query(&[0]).unwrap();
 //! assert!(q.mqcs.iter().all(|m| m.contains(&0)));
 //! ```
-//!
-//! The old free functions survive as thin `#[deprecated]` wrappers so
-//! downstream code keeps compiling; everything in-tree (the CLI, the serve
-//! daemon, the shard worker, the fuzzer, the bench harness) goes through
-//! `Session`.
 
 use std::sync::Arc;
 
@@ -34,10 +26,7 @@ use mqce_graph::{Graph, VertexId};
 
 use crate::config::{MqceConfig, MqceParams};
 use crate::incremental::{IncrementalSession, UpdateOutcome};
-use crate::pipeline::{
-    enumerate_mqcs_parallel_with_inner, enumerate_mqcs_shared_inner,
-    enumerate_mqcs_shared_parallel_inner, MqceResult, ParallelScheduler,
-};
+use crate::pipeline::{run_pipeline, MqceResult};
 use crate::prepared::PreparedGraph;
 use crate::query::{find_mqcs_containing, QueryError, QueryResult};
 
@@ -45,8 +34,8 @@ use crate::query::{find_mqcs_containing, QueryError, QueryResult};
 ///
 /// Construction is cheap apart from the one-time decomposition performed by
 /// [`Session::open`]; the builder methods ([`params`](Session::params),
-/// [`config`](Session::config), [`threads`](Session::threads),
-/// [`scheduler`](Session::scheduler)) move `self` and can be chained.
+/// [`config`](Session::config), [`threads`](Session::threads)) move `self`
+/// and can be chained.
 /// [`run`](Session::run), [`query`](Session::query) and
 /// [`update`](Session::update) then execute against the shared state;
 /// `run` and `query` take `&self`, so one session can serve many requests
@@ -55,7 +44,6 @@ pub struct Session {
     prepared: Arc<PreparedGraph>,
     config: MqceConfig,
     threads: usize,
-    scheduler: ParallelScheduler,
     /// Lazily created by [`Session::update`]: the dirty-set re-run machinery
     /// plus the maintained maximal family.
     incremental: Option<IncrementalSession>,
@@ -82,7 +70,6 @@ impl Session {
             prepared,
             config: Self::default_config(),
             threads: 1,
-            scheduler: ParallelScheduler::default(),
             incremental: None,
         }
     }
@@ -108,13 +95,6 @@ impl Session {
         self
     }
 
-    /// Selects the parallel scheduler; only the bench harness should need
-    /// anything but the default work-stealing one.
-    pub fn scheduler(mut self, scheduler: ParallelScheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// The prepared graph the session currently enumerates (reflecting any
     /// updates applied through [`update`](Session::update)).
     pub fn prepared(&self) -> &PreparedGraph {
@@ -137,32 +117,14 @@ impl Session {
     }
 
     /// Runs the full pipeline (S1 + streaming S2) and returns the maximal
-    /// family plus statistics. Identical output to the deprecated free
-    /// functions for the same graph and configuration.
+    /// family plus statistics.
     pub fn run(&self) -> MqceResult {
-        match self.scheduler {
-            ParallelScheduler::WorkStealing => {
-                if self.threads <= 1 {
-                    enumerate_mqcs_shared_inner(&self.prepared, &self.config)
-                } else {
-                    enumerate_mqcs_shared_parallel_inner(&self.prepared, &self.config, self.threads)
-                }
-            }
-            // The shared-index baseline has no plan-based driver; run it on
-            // the owning path (same family, it is a bench baseline only).
-            ParallelScheduler::SharedIndex => {
-                if self.threads <= 1 {
-                    enumerate_mqcs_shared_inner(&self.prepared, &self.config)
-                } else {
-                    enumerate_mqcs_parallel_with_inner(
-                        self.prepared.graph(),
-                        &self.config,
-                        self.threads,
-                        ParallelScheduler::SharedIndex,
-                    )
-                }
-            }
-        }
+        run_pipeline(
+            self.prepared.graph(),
+            self.prepared.cores(),
+            &self.config,
+            self.threads,
+        )
     }
 
     /// Enumerates only the maximal quasi-cliques containing all of `query`
@@ -201,7 +163,8 @@ impl Session {
 mod tests {
     use super::*;
     use crate::config::Algorithm;
-    use crate::pipeline::enumerate_mqcs_inner;
+    use crate::naive;
+    use crate::pipeline::enumerate_mqcs_default;
     use mqce_graph::generators::{community_graph, CommunityGraphParams};
 
     #[test]
@@ -215,20 +178,19 @@ mod tests {
             },
             31,
         );
+        let reference = enumerate_mqcs_default(&g, 0.85, 5).unwrap();
         for algo in [Algorithm::DcFastQc, Algorithm::QuickPlus, Algorithm::FastQc] {
             let config = MqceConfig::new(0.85, 5).unwrap().with_algorithm(algo);
-            let reference = enumerate_mqcs_inner(&g, &config);
             let session = Session::open(g.clone()).config(config);
             assert_eq!(session.run().mqcs, reference.mqcs, "{algo:?} sequential");
             let parallel = session.threads(4);
             assert_eq!(parallel.run().mqcs, reference.mqcs, "{algo:?} parallel");
-            let shared_index = parallel.scheduler(ParallelScheduler::SharedIndex);
-            assert_eq!(
-                shared_index.run().mqcs,
-                reference.mqcs,
-                "{algo:?} shared-index"
-            );
         }
+        // The convenience wrapper is exactly a one-thread default session.
+        let session = Session::open(g).params(MqceParams::new(0.85, 5).unwrap());
+        let run = session.run();
+        assert_eq!(run.stats.branches, reference.stats.branches);
+        assert_eq!(run.stats.outputs, reference.stats.outputs);
     }
 
     #[test]
@@ -243,7 +205,11 @@ mod tests {
         let delta = GraphDelta::new(vec![(0, 6)], vec![]);
         let outcome = session.update(&delta);
         assert_eq!(outcome.updates_applied, 1);
-        let fresh = enumerate_mqcs_inner(&delta.apply(&g), &config);
+        let fresh = Session::open(delta.apply(&g)).config(config).run();
+        assert_eq!(
+            fresh.mqcs,
+            naive::all_maximal_quasi_cliques(&delta.apply(&g), config.params)
+        );
         assert_eq!(session.family().unwrap(), &fresh.mqcs[..]);
         // A post-update batch run sees the mutated graph.
         assert_eq!(session.run().mqcs, fresh.mqcs);

@@ -16,22 +16,20 @@
 //!    byte-for-byte, because all intermediate vertices of any 2-path from
 //!    an anchor lie inside that anchor's ball.
 //! 2. [`run_shard`] (also the body of the `mqce shard-worker` process) runs
-//!    the existing streaming DC drivers over a plan whose ordering is just
-//!    the shard's anchors and whose rank array carries the *global* session
-//!    ranks (ranks are only ever compared, never indexed, so any monotone
-//!    values are sound). The shard's engine output is the maximal family of
-//!    the shard's own emissions.
-//! 3. [`merge_shard_families`] restores exact global maximality through a
-//!    single [`MaximalityEngine`](mqce_settrie::MaximalityEngine) restricted
-//!    to the **cross-shard frontier** — the same argument as the incremental
-//!    merge. A set with anchor `a` is frontier iff `a`'s closed two-hop
-//!    ball leaves the shard's rank range. If `T ⊋ S` with anchors `b`, `a`,
-//!    then `b, a ∈ T` and `G[T]` has diameter ≤ 2 (γ ≥ ½), so each anchor
-//!    lies in the other's ball; if the two sets come from different shards
-//!    both are frontier, and if from the same shard the shard's local
-//!    engine already resolved them. Interior sets can therefore neither
-//!    dominate nor be dominated across shards and are spliced back in with
-//!    the canonical merge — the final family is byte-identical to a
+//!    the one DC executor over a plan whose ordering is just the shard's
+//!    anchors and whose rank array carries the *global* session ranks
+//!    (ranks are only ever compared, never indexed, so any monotone values
+//!    are sound), and merges its per-worker engines like `Session::run`.
+//!    The result is the maximal family of the shard's own emissions.
+//! 3. [`merge_shard_families`] restores exact global maximality with the
+//!    shared frontier merge, restricted to the **cross-shard frontier**. A
+//!    set with anchor `a` is frontier iff `a`'s closed two-hop ball leaves
+//!    the shard's rank range. If `T ⊋ S` with anchors `b`, `a`, then
+//!    `b, a ∈ T` and `G[T]` has diameter ≤ 2 (γ ≥ ½), so each anchor lies in
+//!    the other's ball; if the two sets come from different shards both are
+//!    frontier, and if from the same shard the shard's local engine already
+//!    resolved them. Interior sets therefore meet the frontier merge's
+//!    exactness condition — the final family is byte-identical to a
 //!    single-process run (asserted differentially in the test suite).
 
 use std::time::Instant;
@@ -42,11 +40,10 @@ use mqce_graph::{SubproblemScratch, VertexId};
 use mqce_settrie::S2Decision;
 
 use crate::config::MqceConfig;
-use crate::dc::{prepare_plan_shared, run_dc_parallel_streaming_plan, DcPlan, EngineFactory};
-use crate::incremental::merge_canonical;
-use crate::pipeline::{dc_setup, feed_sets};
+use crate::dc::DcPlan;
+use crate::pipeline::{dc_setup, frontier_merge, merge_engines, worker_engines};
 use crate::prepared::PreparedGraph;
-use crate::scheduler::subproblem_estimates;
+use crate::scheduler::{execute, subproblem_estimates};
 use crate::stats::SearchStats;
 
 /// One shard of the anchor list: a contiguous rank range plus the
@@ -149,7 +146,7 @@ pub fn plan_shards(
     num_shards: usize,
 ) -> Option<ShardPlan> {
     let (_inner, dc) = dc_setup(config)?;
-    let plan = prepare_plan_shared(prepared, config.params, dc);
+    let plan = DcPlan::from_cores(prepared.graph(), prepared.cores(), config.params, dc);
     let n_orig = prepared.graph().num_vertices();
     let mut rank_of = vec![usize::MAX; n_orig];
     for (local, &orig) in plan.reduced.to_global.iter().enumerate() {
@@ -168,7 +165,7 @@ pub fn plan_shards(
     // Cost-balanced contiguous cuts over the estimate prefix: each shard
     // takes anchors until it reaches its share of the remaining cost,
     // always leaving at least one anchor per remaining shard.
-    let estimates = subproblem_estimates(&plan);
+    let estimates = subproblem_estimates(&plan, &plan.ordering);
     let num_shards = num_shards.max(1).min(total_anchors);
     let mut remaining_cost: usize = estimates.iter().sum();
     let mut scratch = SubproblemScratch::new();
@@ -243,11 +240,11 @@ pub fn plan_shards(
     Some(shard_plan)
 }
 
-/// Executes one shard: runs the existing streaming DC drivers over the
-/// slice with the shard's anchors as the plan ordering, merges the
-/// per-thread engines, and returns the shard-local maximal family over
-/// original-graph ids. This is exactly what a `mqce shard-worker` process
-/// does with a decoded [`GraphSlice`].
+/// Executes one shard: runs the DC executor over the slice with the
+/// shard's anchors as the plan ordering, merges the per-thread engines, and
+/// returns the shard-local maximal family over original-graph ids. This is
+/// exactly what a `mqce shard-worker` process does with a decoded
+/// [`GraphSlice`].
 pub fn run_shard(
     slice: &GraphSlice,
     anchors: &[VertexId],
@@ -268,28 +265,18 @@ pub fn run_shard(
         ordering: anchors.to_vec(),
         rank: rank.to_vec(),
     };
-    let factory = || config.s2_backend.new_engine_with_model(config.s2_model);
-    let factory_ref: EngineFactory<'_> = &factory;
-    let (outcome, mut engines) = run_dc_parallel_streaming_plan(
+    let mut engines = worker_engines(config, threads);
+    let outcome = execute(
         &plan,
+        &plan.ordering,
         config.params,
         inner,
         dc,
-        threads.max(1),
+        threads,
         deadline,
-        Some(factory_ref),
+        engines.iter_mut().map(|e| e.as_mut()).collect(),
     );
-    let mut engine = if engines.is_empty() {
-        config.s2_backend.new_engine_with_model(config.s2_model)
-    } else {
-        engines.remove(0)
-    };
-    let mut feed_truncated = false;
-    for mut other in engines {
-        if !feed_sets(engine.as_mut(), &other.drain(), deadline) {
-            feed_truncated = true;
-        }
-    }
+    let (engine, feed_truncated) = merge_engines(engines, deadline);
     let s2_out = engine.finish();
     ShardFamily {
         mqcs: s2_out.mqcs,
@@ -299,8 +286,8 @@ pub fn run_shard(
 }
 
 /// Merges per-shard maximal families into the exact global family: frontier
-/// sets go through one maximality engine, interior sets are spliced back in
-/// with the canonical merge (see the module docs for why this is exact).
+/// sets go through the shared frontier merge's engine, interior sets are
+/// spliced back in (see the module docs for why this is exact).
 pub fn merge_shard_families(
     plan: &ShardPlan,
     families: Vec<Vec<Vec<VertexId>>>,
@@ -320,13 +307,9 @@ pub fn merge_shard_families(
         }
         interior.push(keep);
     }
-    let s2_out = engine.finish();
-    let mut merged = s2_out.mqcs;
-    for keep in interior {
-        merged = merge_canonical(merged, keep);
-    }
+    let s2_out = frontier_merge(engine, interior);
     MergedShards {
-        mqcs: merged,
+        mqcs: s2_out.mqcs,
         merge_decision: s2_out.decision,
         backend: s2_out.backend.to_string(),
     }

@@ -12,15 +12,15 @@
 //! including graphs too large for the oracle, where the two backends check
 //! each other.
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
 use mqce::core::naive;
 use mqce::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One sequential run through the session API.
+fn session_run(g: &Graph, config: &MqceConfig) -> MqceResult {
+    Session::open(g.clone()).config(*config).run()
+}
 
 const GAMMAS: [f64; 4] = [0.5, 0.7, 0.9, 1.0];
 const THETAS: [usize; 3] = [2, 3, 4];
@@ -87,7 +87,7 @@ fn sweep_backends(g: &Graph, label: &str) {
         for theta in THETAS {
             for algorithm in [Algorithm::DcFastQc, Algorithm::FastQc, Algorithm::QuickPlus] {
                 let run = |backend: AdjacencyBackend| {
-                    enumerate_mqcs(
+                    session_run(
                         g,
                         &MqceConfig::new(gamma, theta)
                             .unwrap()
@@ -151,7 +151,7 @@ fn backends_agree_across_word_boundary_graphs() {
     for theta in [4, 6] {
         for algorithm in [Algorithm::DcFastQc, Algorithm::QuickPlus] {
             let run = |backend: AdjacencyBackend| {
-                enumerate_mqcs(
+                session_run(
                     &dense,
                     &MqceConfig::new(0.9, theta)
                         .unwrap()
@@ -191,7 +191,7 @@ fn s2_extremal_equals_inverted_across_full_grid() {
         for gamma in GAMMAS {
             for theta in THETAS {
                 let run = |backend: S2Backend| {
-                    enumerate_mqcs(
+                    session_run(
                         g,
                         &MqceConfig::new(gamma, theta)
                             .unwrap()
@@ -222,13 +222,13 @@ fn auto_backend_matches_forced_backends() {
     let g = random_graph(&mut rng, 25, 0.6);
     for gamma in GAMMAS {
         for theta in THETAS {
-            let auto = enumerate_mqcs(
+            let auto = session_run(
                 &g,
                 &MqceConfig::new(gamma, theta)
                     .unwrap()
                     .with_backend(AdjacencyBackend::Auto),
             );
-            let slice = enumerate_mqcs(
+            let slice = session_run(
                 &g,
                 &MqceConfig::new(gamma, theta)
                     .unwrap()

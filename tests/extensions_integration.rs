@@ -3,11 +3,6 @@
 //! result verifier, the edge-based quasi-clique comparison and the graph
 //! interchange formats.
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
 use mqce::core::edge_qc;
 use mqce::core::kernel::{expand_kernels, KernelConfig};
 use mqce::core::quasiclique::is_quasi_clique;

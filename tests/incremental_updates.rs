@@ -5,16 +5,16 @@
 //! schedules whose later batches delete edges the earlier batches inserted
 //! (the round-trip shape that catches stale retained sets).
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
-use mqce::core::{enumerate_mqcs, IncrementalSession, MqceConfig};
+use mqce::core::{IncrementalSession, MqceConfig, MqceResult, Session};
 use mqce::graph::generators::{community_graph, CommunityGraphParams};
 use mqce::graph::{Graph, GraphDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One sequential run through the session API.
+fn session_run(g: &Graph, config: &MqceConfig) -> MqceResult {
+    Session::open(g.clone()).config(*config).run()
+}
 
 const GAMMAS: [f64; 3] = [0.8, 0.9, 0.95];
 const THETAS: [usize; 2] = [3, 5];
@@ -89,7 +89,7 @@ fn run_grid(g: &Graph, label: &str, threads: usize, seed: u64) {
                     "{label}: graph drifted at step {step} \
                      (gamma={gamma}, theta={theta}, threads={threads})"
                 );
-                let fresh = enumerate_mqcs(&current, &config);
+                let fresh = session_run(&current, &config);
                 assert_eq!(
                     session.family(),
                     &fresh.mqcs[..],

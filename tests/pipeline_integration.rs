@@ -1,16 +1,16 @@
 //! Integration tests spanning the whole workspace through the `mqce` facade:
 //! graph generation → MQCE-S1 enumeration → set-trie filtering.
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
 use mqce::core::naive;
 use mqce::graph::generators::{
     community_graph, erdos_renyi_gnm, planted_quasi_cliques, CommunityGraphParams, PlantedGroup,
 };
 use mqce::prelude::*;
+
+/// One sequential run through the session API.
+fn session_run(g: &Graph, config: &MqceConfig) -> MqceResult {
+    Session::open(g.clone()).config(*config).run()
+}
 
 /// Every algorithm must agree with the exhaustive oracle on random small
 /// graphs across the parameter grid.
@@ -42,7 +42,7 @@ fn all_algorithms_match_oracle_on_random_graphs() {
         let theta = 2 + case % 3;
         let expected = naive::all_maximal_quasi_cliques(&g, MqceParams::new(gamma, theta).unwrap());
         for algo in algorithms {
-            let result = enumerate_mqcs(
+            let result = session_run(
                 &g,
                 &MqceConfig::new(gamma, theta).unwrap().with_algorithm(algo),
             );
@@ -100,7 +100,7 @@ fn algorithms_agree_on_medium_graphs() {
         ),
     ];
     for (name, g, gamma, theta) in graphs {
-        let reference = enumerate_mqcs(
+        let reference = session_run(
             &g,
             &MqceConfig::new(gamma, theta)
                 .unwrap()
@@ -112,7 +112,7 @@ fn algorithms_agree_on_medium_graphs() {
             Algorithm::BasicDcFastQc,
             Algorithm::QuickPlus,
         ] {
-            let result = enumerate_mqcs(
+            let result = session_run(
                 &g,
                 &MqceConfig::new(gamma, theta).unwrap().with_algorithm(algo),
             );
@@ -183,11 +183,34 @@ fn s1_plus_settrie_equals_pipeline() {
     let config = MqceConfig::new(0.9, 5).unwrap();
     let s1 = mqce::core::solve_s1(&g, &config);
     let filtered = filter_maximal(&s1.outputs);
-    let pipeline = enumerate_mqcs(&g, &config);
+    let pipeline = session_run(&g, &config);
     assert_eq!(filtered, pipeline.mqcs);
     for mqc in &pipeline.mqcs {
         assert!(s1.outputs.contains(mqc), "S1 output must contain each MQC");
     }
+}
+
+/// `solve_s1` (planning from a fresh core decomposition of a `&Graph`) and
+/// `Session::run` (planning from the session's cached one) go through the
+/// one plan builder, so they do the same S1 work: equal branch and output
+/// counters on community-250 at γ = 0.9, θ = 8, not just the same family.
+#[test]
+fn solve_s1_and_session_report_the_same_s1_counters() {
+    let g = community_graph(
+        CommunityGraphParams {
+            n: 250,
+            num_communities: 12,
+            p_intra: 0.9,
+            inter_degree: 2.0,
+        },
+        42,
+    );
+    let config = MqceConfig::new(0.9, 8).unwrap();
+    let s1 = mqce::core::solve_s1(&g, &config);
+    let run = session_run(&g, &config);
+    assert_eq!(s1.stats.branches, run.stats.branches);
+    assert_eq!(s1.stats.outputs, run.stats.outputs);
+    assert_eq!(filter_maximal(&s1.outputs), run.mqcs);
 }
 
 /// Graph statistics, set-trie and solver compose for the Table-1 style report.
@@ -220,14 +243,14 @@ fn table1_style_report_fields() {
 fn degenerate_inputs() {
     for algo in [Algorithm::DcFastQc, Algorithm::QuickPlus, Algorithm::FastQc] {
         let empty = Graph::empty(0);
-        let r = enumerate_mqcs(
+        let r = session_run(
             &empty,
             &MqceConfig::new(0.9, 2).unwrap().with_algorithm(algo),
         );
         assert!(r.mqcs.is_empty());
 
         let isolated = Graph::empty(5);
-        let r = enumerate_mqcs(
+        let r = session_run(
             &isolated,
             &MqceConfig::new(0.9, 1).unwrap().with_algorithm(algo),
         );
@@ -235,7 +258,7 @@ fn degenerate_inputs() {
         assert_eq!(r.mqcs.len(), 5);
 
         let single_edge = Graph::from_edges(2, &[(0, 1)]);
-        let r = enumerate_mqcs(
+        let r = session_run(
             &single_edge,
             &MqceConfig::new(1.0, 2).unwrap().with_algorithm(algo),
         );

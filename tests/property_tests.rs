@@ -1,10 +1,5 @@
 //! Property-based tests (proptest) over the core invariants of the workspace.
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
 use mqce::core::naive;
 use mqce::core::quasiclique::{max_disconnections, required_degree, tau};
 use mqce::graph::core_decomp::core_decomposition;
@@ -12,6 +7,11 @@ use mqce::graph::subgraph::{two_hop_neighborhood, InducedSubgraph};
 use mqce::prelude::*;
 use mqce::settrie::filter_maximal_naive;
 use proptest::prelude::*;
+
+/// One sequential run through the session API.
+fn session_run(g: &Graph, config: &MqceConfig) -> MqceResult {
+    Session::open(g.clone()).config(*config).run()
+}
 
 /// Strategy: a random graph with 2..=10 vertices given as an edge mask.
 fn small_graph() -> impl Strategy<Value = Graph> {
@@ -106,12 +106,12 @@ proptest! {
     #[test]
     fn algorithms_agree_on_medium_graphs(g in medium_graph(), theta in 4usize..6) {
         let gamma = 0.85;
-        let a = enumerate_mqcs(&g, &MqceConfig::new(gamma, theta).unwrap()
+        let a = session_run(&g, &MqceConfig::new(gamma, theta).unwrap()
             .with_algorithm(Algorithm::DcFastQc));
-        let b = enumerate_mqcs(&g, &MqceConfig::new(gamma, theta).unwrap()
+        let b = session_run(&g, &MqceConfig::new(gamma, theta).unwrap()
             .with_algorithm(Algorithm::QuickPlus));
         prop_assert_eq!(&a.mqcs, &b.mqcs);
-        let c = enumerate_mqcs(&g, &MqceConfig::new(gamma, theta).unwrap()
+        let c = session_run(&g, &MqceConfig::new(gamma, theta).unwrap()
             .with_algorithm(Algorithm::FastQc)
             .with_branching(BranchingStrategy::SymSe));
         prop_assert_eq!(&a.mqcs, &c.mqcs);

@@ -8,12 +8,12 @@
 //! brute-force outside the library) from Definition 1 and Definition 2 of the
 //! paper.
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
 use mqce::prelude::*;
+
+/// One sequential run through the session API.
+fn session_run(g: &Graph, config: &MqceConfig) -> MqceResult {
+    Session::open(g.clone()).config(*config).run()
+}
 
 type Fixture = (&'static str, f64, usize, &'static [&'static [u32]]);
 
@@ -29,7 +29,7 @@ fn run_all_algorithms(g: &Graph, gamma: f64, theta: usize) -> Vec<(Algorithm, Ve
     .into_iter()
     .map(|algo| {
         let config = MqceConfig::new(gamma, theta).unwrap().with_algorithm(algo);
-        (algo, enumerate_mqcs(g, &config).mqcs)
+        (algo, session_run(g, &config).mqcs)
     })
     .collect()
 }
@@ -60,7 +60,7 @@ fn check_fixtures(g: &Graph, fixtures: &[Fixture]) {
                 .with_algorithm(Algorithm::DcFastQc)
                 .with_branching(branching);
             assert_eq!(
-                enumerate_mqcs(g, &config).mqcs,
+                session_run(g, &config).mqcs,
                 expected,
                 "{label}: branching {branching:?} at gamma={gamma}, theta={theta}"
             );

@@ -4,20 +4,27 @@
 //! count, intra-subproblem splitting must actually fire on the skewed
 //! shape, and deadlines must stay sound while branches are being stolen.
 
-// These suites deliberately keep exercising the deprecated free-function
-// entry points: until they are removed they must return exactly what the
-// `Session` builder returns, and this is where that contract is enforced.
-#![allow(deprecated)]
-
 use std::time::{Duration, Instant};
 
 use mqce::core::dc::{run_dc_parallel, DcConfig, InnerAlgorithm};
 use mqce::core::prelude::*;
 use mqce::core::quasiclique::is_quasi_clique;
-use mqce::core::{enumerate_mqcs_parallel_with, ParallelScheduler};
 use mqce_graph::generators::{planted_quasi_cliques, PlantedGroup};
 use mqce_graph::Graph;
 use mqce_settrie::filter_maximal;
+
+/// One sequential run through the session API.
+fn session_run(g: &Graph, config: &MqceConfig) -> MqceResult {
+    Session::open(g.clone()).config(*config).run()
+}
+
+/// One run through the session API on `threads` workers.
+fn session_run_threads(g: &Graph, config: &MqceConfig, threads: usize) -> MqceResult {
+    Session::open(g.clone())
+        .config(*config)
+        .threads(threads)
+        .run()
+}
 
 /// Whether sorted set `a` is a subset of sorted set `b`.
 fn is_sorted_subset(a: &[u32], b: &[u32]) -> bool {
@@ -25,8 +32,8 @@ fn is_sorted_subset(a: &[u32], b: &[u32]) -> bool {
     a.iter().all(|x| it.any(|y| y == x))
 }
 
-/// One heavy planted community and a tail of tiny ones: the shape where the
-/// shared-atomic-index driver pins a single worker on the giant subproblem
+/// One heavy planted community and a tail of tiny ones: the shape where
+/// whole-subproblem handout pins a single worker on the giant subproblem
 /// while the rest go idle.
 fn skewed_graph() -> Graph {
     let mut groups = vec![PlantedGroup {
@@ -46,11 +53,11 @@ fn skewed_graph() -> Graph {
 fn skewed_family_parallel_matches_sequential_at_every_thread_count() {
     let g = skewed_graph();
     let config = MqceConfig::new(0.85, 6).unwrap().with_steal_granularity(1);
-    let sequential = enumerate_mqcs(&g, &config);
+    let sequential = session_run(&g, &config);
     assert!(!sequential.timed_out());
     assert!(!sequential.mqcs.is_empty());
     for threads in [1, 2, 4] {
-        let parallel = enumerate_mqcs_parallel(&g, &config, threads);
+        let parallel = session_run_threads(&g, &config, threads);
         assert_eq!(
             parallel.mqcs, sequential.mqcs,
             "work-stealing driver differs from sequential at {threads} threads"
@@ -68,15 +75,6 @@ fn skewed_family_parallel_matches_sequential_at_every_thread_count() {
             assert_eq!(total, parallel.stats.dc_subproblems);
         }
     }
-}
-
-#[test]
-fn shared_index_baseline_still_matches_sequential() {
-    let g = skewed_graph();
-    let config = MqceConfig::new(0.85, 6).unwrap();
-    let sequential = enumerate_mqcs(&g, &config);
-    let baseline = enumerate_mqcs_parallel_with(&g, &config, 4, ParallelScheduler::SharedIndex);
-    assert_eq!(baseline.mqcs, sequential.mqcs);
 }
 
 #[test]
@@ -195,8 +193,8 @@ fn quickplus_inner_survives_stealing() {
         .unwrap()
         .with_algorithm(Algorithm::QuickPlus)
         .with_steal_granularity(1);
-    let sequential = enumerate_mqcs(&g, &config);
-    let parallel = enumerate_mqcs_parallel(&g, &config, 4);
+    let sequential = session_run(&g, &config);
+    let parallel = session_run_threads(&g, &config, 4);
     assert_eq!(parallel.mqcs, sequential.mqcs);
 }
 
@@ -234,8 +232,8 @@ fn parallel_matches_sequential_across_full_differential_grid() {
                 let config = MqceConfig::new(gamma, theta)
                     .unwrap()
                     .with_steal_granularity(1);
-                let sequential = enumerate_mqcs(g, &config);
-                let parallel = enumerate_mqcs_parallel(g, &config, 4);
+                let sequential = session_run(g, &config);
+                let parallel = session_run_threads(g, &config, 4);
                 assert_eq!(
                     parallel.mqcs, sequential.mqcs,
                     "graph {i}: parallel differs at gamma={gamma} theta={theta}"
@@ -270,7 +268,7 @@ fn deadline_under_stealing_returns_sound_partial_result_quickly() {
         .with_steal_granularity(1)
         .with_time_limit(Duration::from_millis(40));
     let start = Instant::now();
-    let result = enumerate_mqcs_parallel(&g, &config, 4);
+    let result = session_run_threads(&g, &config, 4);
     assert!(
         start.elapsed() < Duration::from_secs(30),
         "deadline was not honoured under stealing"
