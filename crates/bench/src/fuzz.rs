@@ -8,6 +8,10 @@
 //! * every production configuration (algorithm × adjacency backend × S2
 //!   engine, sequential and both parallel schedulers) against the
 //!   exhaustive [`mqce_core::naive`] oracle;
+//! * `Session::query`, top-k and the in-process sharded run against exact
+//!   relations to the oracle family (its sets containing a sampled vertex,
+//!   its k largest sets, the family itself at 1–4 shards), and the family's
+//!   trip through the serve protocol's response encoder and parser;
 //! * the incremental session against a full recompute after every batch;
 //! * the update WAL against direct application (append → reopen → replay
 //!   must land on the same fingerprint, and a log truncated at *any* byte
@@ -23,10 +27,15 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use mqce_core::{AdjacencyBackend, Algorithm, IncrementalSession, MqceConfig, S2Backend, Session};
+use mqce_core::{
+    find_largest_mqcs, run_sharded, AdjacencyBackend, Algorithm, IncrementalSession, MqceConfig,
+    PreparedGraph, S2Backend, Session,
+};
 use mqce_graph::{Graph, GraphDelta, WriteAheadLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::protocol::{EncodedSets, Response};
 
 /// How the fuzzer runs: case count, base seed, and where failing fixtures go.
 #[derive(Clone, Debug)]
@@ -249,6 +258,84 @@ fn run_case(case: &FuzzCase, checks: &mut u64, contained: &mut u64) -> Vec<(Stri
                 family_digest(&oracle.mqcs)
             ),
         ));
+    }
+
+    // --- query, top-k, shards and the wire vs the oracle family -----------
+    let prepared = PreparedGraph::new(g.clone());
+    if case.n > 0 {
+        let v = (case.index * 7 % case.n) as u32;
+        let expected: Vec<Vec<u32>> = oracle
+            .mqcs
+            .iter()
+            .filter(|set| set.contains(&v))
+            .cloned()
+            .collect();
+        let got = Session::open(g.clone()).config(base).query(&[v]);
+        *checks += 1;
+        match got {
+            Ok(result) if result.mqcs == expected => {}
+            Ok(result) => failures.push((
+                "query-divergence".to_string(),
+                format!(
+                    "v={v}: got {} expected {}",
+                    family_digest(&result.mqcs),
+                    family_digest(&expected)
+                ),
+            )),
+            Err(e) => failures.push(("query-divergence".to_string(), format!("v={v}: {e}"))),
+        }
+    }
+    let k = 1 + case.index % 3;
+    if oracle.mqcs.len() >= k {
+        let mut expected = oracle.mqcs.clone();
+        expected.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+        expected.truncate(k);
+        *checks += 1;
+        match find_largest_mqcs(&g, case.gamma, k, Some(base)) {
+            Ok(top) if top.mqcs == expected => {}
+            Ok(top) => failures.push((
+                "topk-divergence".to_string(),
+                format!(
+                    "k={k}: got {} expected {}",
+                    family_digest(&top.mqcs),
+                    family_digest(&expected)
+                ),
+            )),
+            Err(e) => failures.push(("topk-divergence".to_string(), format!("k={k}: {e}"))),
+        }
+    }
+    for shards in 1..=4 {
+        let got = run_sharded(&prepared, &base, shards, 1).map(|outcome| outcome.mqcs);
+        *checks += 1;
+        if got.as_ref() != Some(&oracle.mqcs) {
+            failures.push((
+                "shard-divergence".to_string(),
+                format!(
+                    "{shards} shards: got {} expected {}",
+                    got.as_deref().map_or("no plan".to_string(), family_digest),
+                    family_digest(&oracle.mqcs)
+                ),
+            ));
+        }
+    }
+    let response = Response {
+        ok: true,
+        count: oracle.mqcs.len(),
+        mqcs: Some(oracle.mqcs.clone()),
+        ..Response::default()
+    };
+    let line = response.to_line();
+    let mut spliced = String::new();
+    Response {
+        mqcs: None,
+        ..response.clone()
+    }
+    .write_line(&mut spliced, Some(&EncodedSets::new(&oracle.mqcs)));
+    *checks += 1;
+    match Response::parse_line(&line) {
+        Ok(back) if back == response && spliced == line => {}
+        Ok(_) => failures.push(("wire-divergence".to_string(), line)),
+        Err(e) => failures.push(("wire-divergence".to_string(), format!("{e}: {line}"))),
     }
 
     // --- injected panic containment ---------------------------------------

@@ -16,6 +16,10 @@
 //!   every production configuration against the naive oracle, the
 //!   incremental session, the update WAL, and the panic-containment
 //!   boundary, with failing inputs minimised into replayable fixtures.
+//! * [`protocol`] — the newline-JSON wire protocol of `mqce serve`, its
+//!   client and the shard workers (re-exported as `mqce_cli::protocol`).
+//!   It lives here, below the CLI, so the fuzzer can round-trip families
+//!   through the same encoder and parser the daemon uses.
 //!
 //! The `experiments` binary drives these from the command line; the Criterion
 //! benches in `benches/` cover the same sweeps in `cargo bench` form.
@@ -30,4 +34,5 @@ pub mod alloc_stats;
 pub mod datasets;
 pub mod experiments;
 pub mod fuzz;
+pub mod protocol;
 pub mod runner;

@@ -2,9 +2,12 @@
 //!
 //! The daemon speaks newline-delimited JSON: one request object per line in,
 //! one response object per line out, in order. The vendored `serde` derive
-//! only handles named-field structs, so both sides of the protocol build and
-//! walk [`serde::Value`] trees by hand; this module is the single place that
-//! knows the field names.
+//! only handles named-field structs, so requests are built and walked as
+//! [`serde::Value`] trees by hand, and responses are parsed through one.
+//! Responses are *written* without a tree: [`Response::write_line`] emits
+//! the fields directly, and a family that is answered many times can be
+//! encoded once as [`EncodedSets`] and spliced in. This module is the single
+//! place that knows the field names.
 //!
 //! A request selects a command (`enumerate`, `query`, `topk`, `ping`,
 //! `update`, `shard_run`, `shutdown`) and may override any of the
@@ -151,19 +154,52 @@ pub struct Response {
     pub extra: Vec<(String, Value)>,
 }
 
-/// Wrapper that lets a raw [`Value`] go through `serde_json::to_string`
-/// (the vendored `Value` deliberately does not implement `Serialize`).
-struct Raw<'a>(&'a Value);
+/// Renders a value tree as one compact JSON line (no trailing newline).
+pub fn value_to_line(value: &Value) -> String {
+    let mut out = String::new();
+    serde_json::write_compact(&mut out, value);
+    out
+}
 
-impl serde::Serialize for Raw<'_> {
-    fn to_value(&self) -> Value {
-        self.0.clone()
+/// A family of vertex sets encoded once as its JSON array text
+/// (`[[0,1,2],[3,4]]`). A server that answers the same family many times
+/// keeps it in this form and splices it into each response line with
+/// [`Response::write_line`] instead of re-encoding it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EncodedSets(String);
+
+impl EncodedSets {
+    /// Encodes `sets`.
+    pub fn new(sets: &[Vec<u32>]) -> EncodedSets {
+        let mut out = String::new();
+        write_sets(&mut out, sets);
+        EncodedSets(out)
+    }
+
+    /// The JSON text.
+    pub fn as_str(&self) -> &str {
+        &self.0
     }
 }
 
-/// Renders a value tree as one compact JSON line (no trailing newline).
-pub fn value_to_line(value: &Value) -> String {
-    serde_json::to_string(&Raw(value)).expect("value rendering is infallible")
+/// Appends `sets` as a JSON array of arrays, each vertex id through the
+/// integer writer.
+fn write_sets(out: &mut String, sets: &[Vec<u32>]) {
+    out.push('[');
+    for (i, set) in sets.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, &v) in set.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            serde_json::write_u64(out, u64::from(v));
+        }
+        out.push(']');
+    }
+    out.push(']');
 }
 
 fn get<'a>(fields: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
@@ -515,43 +551,62 @@ impl Response {
         response
     }
 
-    /// Encodes the response as a value tree.
-    pub fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = Vec::new();
-        let mut push = |k: &str, v: Value| fields.push((k.to_string(), v));
-        if let Some(id) = &self.id {
-            push("id", Value::Str(id.clone()));
-        }
-        push("ok", Value::Bool(self.ok));
-        if let Some(err) = &self.error {
-            push("error", Value::Str(err.clone()));
-        }
-        push("cached", Value::Bool(self.cached));
-        push("best_effort", Value::Bool(self.best_effort));
-        push("s2_timed_out", Value::Bool(self.s2_timed_out));
-        push("elapsed_ms", Value::Num(self.elapsed_ms));
-        push("count", Value::Num(self.count as f64));
-        if let Some(mqcs) = &self.mqcs {
-            push(
-                "mqcs",
-                Value::Array(
-                    mqcs.iter()
-                        .map(|set| {
-                            Value::Array(set.iter().map(|&v| Value::Num(v as f64)).collect())
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        for (key, v) in &self.extra {
-            fields.push((key.clone(), v.clone()));
-        }
-        Value::Object(fields)
-    }
-
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        value_to_line(&self.to_value())
+        let mut out = String::new();
+        self.write_line(&mut out, None);
+        out
+    }
+
+    /// Appends the response to `out` as one JSON line (no trailing newline),
+    /// written straight from the fields: `id`, `ok`, `error`, the status
+    /// flags, `elapsed_ms`, `count`, `mqcs`, then `extra` in order. Absent
+    /// options are omitted. `mqcs`, when given, is written as the `mqcs`
+    /// member in place of `self.mqcs`, so a family encoded once can go out
+    /// in many responses.
+    pub fn write_line(&self, out: &mut String, mqcs: Option<&EncodedSets>) {
+        let field = |out: &mut String, name: &str| {
+            out.push(',');
+            serde_json::write_str(out, name);
+            out.push(':');
+        };
+        let flag = |b: bool| if b { "true" } else { "false" };
+        out.push('{');
+        if let Some(id) = &self.id {
+            out.push_str("\"id\":");
+            serde_json::write_str(out, id);
+            out.push(',');
+        }
+        out.push_str("\"ok\":");
+        out.push_str(flag(self.ok));
+        if let Some(err) = &self.error {
+            field(out, "error");
+            serde_json::write_str(out, err);
+        }
+        for (name, value) in [
+            ("cached", self.cached),
+            ("best_effort", self.best_effort),
+            ("s2_timed_out", self.s2_timed_out),
+        ] {
+            field(out, name);
+            out.push_str(flag(value));
+        }
+        field(out, "elapsed_ms");
+        serde_json::write_num(out, self.elapsed_ms);
+        field(out, "count");
+        serde_json::write_u64(out, self.count as u64);
+        if let Some(sets) = mqcs {
+            field(out, "mqcs");
+            out.push_str(sets.as_str());
+        } else if let Some(sets) = &self.mqcs {
+            field(out, "mqcs");
+            write_sets(out, sets);
+        }
+        for (key, value) in &self.extra {
+            field(out, key);
+            serde_json::write_compact(out, value);
+        }
+        out.push('}');
     }
 
     /// Decodes a response from one JSON line (the client side).
@@ -782,5 +837,106 @@ mod tests {
         assert!(!back.ok);
         assert_eq!(back.error.as_deref(), Some("boom"));
         assert_eq!(back.id.as_deref(), Some("q"));
+    }
+    /// The responses of the encoder-identity check: an error, an empty
+    /// family, a cache hit, non-integral times, string/number/nested
+    /// extras and an escaped unicode id.
+    fn golden_cases() -> Vec<Response> {
+        let num = Value::Num;
+        let text = |s: &str| Value::Str(s.to_string());
+        vec![
+            Response::failure(Some("e1".to_string()), "boom: \"quoted\"\n\ttab"),
+            Response::version_mismatch(None, 9),
+            Response {
+                id: Some("empty".to_string()),
+                ok: true,
+                mqcs: Some(Vec::new()),
+                ..Response::default()
+            },
+            Response {
+                id: Some("hit".to_string()),
+                ok: true,
+                cached: true,
+                elapsed_ms: 0.004217,
+                count: 3,
+                mqcs: Some(vec![vec![0, 1, 2], vec![3, 4, 5, u32::MAX], vec![7]]),
+                extra: vec![("universe".to_string(), num(12.0))],
+                ..Response::default()
+            },
+            Response {
+                ok: true,
+                best_effort: true,
+                s2_timed_out: true,
+                elapsed_ms: 1234.5678901,
+                count: 40_000_000,
+                extra: vec![
+                    ("s2_engine".to_string(), text("bitset")),
+                    ("rounds".to_string(), num(3.0)),
+                    ("ratio".to_string(), num(0.25)),
+                    ("neg".to_string(), num(-7.0)),
+                    ("tiny".to_string(), num(1e-7)),
+                    (
+                        "set_stream".to_string(),
+                        Value::Array(vec![num(2.0), num(5.0), num(9.0), num(0.0)]),
+                    ),
+                    (
+                        "nested".to_string(),
+                        Value::Object(vec![
+                            ("flag".to_string(), Value::Bool(false)),
+                            ("none".to_string(), Value::Null),
+                            ("k\"ey".to_string(), text("v\\al")),
+                        ]),
+                    ),
+                ],
+                ..Response::default()
+            },
+            Response {
+                id: Some("γ½ \"q\" \\ \t\u{1}\u{1f} ok".to_string()),
+                ok: true,
+                elapsed_ms: 12.5,
+                count: 1,
+                mqcs: Some(vec![vec![]]),
+                ..Response::default()
+            },
+            Response {
+                ok: true,
+                elapsed_ms: 3.0,
+                ..Response::default()
+            },
+        ]
+    }
+
+    /// What the tree-building encoder this module used to have wrote for
+    /// [`golden_cases`], captured byte for byte.
+    const GOLDEN_LINES: [&str; 7] = [
+        "{\"id\":\"e1\",\"ok\":false,\"error\":\"boom: \\\"quoted\\\"\\n\\ttab\",\"cached\":false,\"best_effort\":false,\"s2_timed_out\":false,\"elapsed_ms\":0,\"count\":0}",
+        "{\"ok\":false,\"error\":\"protocol version mismatch: peer speaks v9, this build speaks v1\",\"cached\":false,\"best_effort\":false,\"s2_timed_out\":false,\"elapsed_ms\":0,\"count\":0,\"error_kind\":\"protocol_version\",\"protocol_version\":1}",
+        "{\"id\":\"empty\",\"ok\":true,\"cached\":false,\"best_effort\":false,\"s2_timed_out\":false,\"elapsed_ms\":0,\"count\":0,\"mqcs\":[]}",
+        "{\"id\":\"hit\",\"ok\":true,\"cached\":true,\"best_effort\":false,\"s2_timed_out\":false,\"elapsed_ms\":0.004217,\"count\":3,\"mqcs\":[[0,1,2],[3,4,5,4294967295],[7]],\"universe\":12}",
+        "{\"ok\":true,\"cached\":false,\"best_effort\":true,\"s2_timed_out\":true,\"elapsed_ms\":1234.5678901,\"count\":40000000,\"s2_engine\":\"bitset\",\"rounds\":3,\"ratio\":0.25,\"neg\":-7,\"tiny\":0.0000001,\"set_stream\":[2,5,9,0],\"nested\":{\"flag\":false,\"none\":null,\"k\\\"ey\":\"v\\\\al\"}}",
+        "{\"id\":\"γ½ \\\"q\\\" \\\\ \\t\\u0001\\u001f ok\",\"ok\":true,\"cached\":false,\"best_effort\":false,\"s2_timed_out\":false,\"elapsed_ms\":12.5,\"count\":1,\"mqcs\":[[]]}",
+        "{\"ok\":true,\"cached\":false,\"best_effort\":false,\"s2_timed_out\":false,\"elapsed_ms\":3,\"count\":0}",
+    ];
+
+    #[test]
+    fn direct_encoder_matches_the_tree_encoder_byte_for_byte() {
+        for (response, golden) in golden_cases().iter().zip(GOLDEN_LINES) {
+            assert_eq!(response.to_line(), golden);
+            assert_eq!(&Response::parse_line(golden).unwrap(), response);
+        }
+    }
+
+    #[test]
+    fn spliced_families_encode_like_owned_ones() {
+        for response in golden_cases() {
+            let Some(sets) = &response.mqcs else { continue };
+            let header = Response {
+                mqcs: None,
+                ..response.clone()
+            };
+            let mut line = String::new();
+            header.write_line(&mut line, Some(&EncodedSets::new(sets)));
+            assert_eq!(line, response.to_line());
+        }
     }
 }

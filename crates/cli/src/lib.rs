@@ -25,7 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod protocol;
+pub use mqce_bench::protocol;
 pub mod serve;
 pub mod shard;
 

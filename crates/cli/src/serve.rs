@@ -37,7 +37,7 @@
 //! the old fingerprint is invalidated.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -54,7 +54,7 @@ use mqce_graph::{
 use serde::Value;
 
 use crate::args::ParsedArgs;
-use crate::protocol::{Request, Response, PROTOCOL_VERSION};
+use crate::protocol::{EncodedSets, Request, Response, PROTOCOL_VERSION};
 use crate::CliError;
 
 /// Daemon configuration (everything except the listening endpoint).
@@ -203,15 +203,63 @@ impl Drop for GateGuard<'_> {
     }
 }
 
-/// A complete answer worth replaying: the MQC sets plus the command-specific
-/// extras (query universe size, top-k round count, …). The command and its
-/// query vertices are kept so `update` can decide which entries survive a
-/// graph mutation.
+/// A complete answer worth replaying: the MQC count, the sets already
+/// encoded as the response's `mqcs` JSON (so a cache hit splices bytes
+/// instead of re-encoding the family), and the command-specific extras
+/// (query universe size, top-k round count, …). The command and its query
+/// vertices are kept so `update` can decide which entries survive a graph
+/// mutation.
 struct CachedOutcome {
     cmd: String,
     vertices: Vec<u32>,
-    mqcs: Vec<Vec<u32>>,
+    count: usize,
+    mqcs: EncodedSets,
     extra: Vec<(String, Value)>,
+}
+
+impl CachedOutcome {
+    fn new(
+        req: &Request,
+        vertices: Vec<u32>,
+        mqcs: &[Vec<u32>],
+        extra: Vec<(String, Value)>,
+    ) -> Self {
+        CachedOutcome {
+            cmd: req.cmd.clone(),
+            vertices,
+            count: mqcs.len(),
+            mqcs: EncodedSets::new(mqcs),
+            extra,
+        }
+    }
+}
+
+/// A daemon answer on its way to the wire: the response fields plus, when
+/// the request asked for `sets`, the outcome whose pre-encoded family becomes
+/// the `mqcs` member.
+struct Reply {
+    response: Response,
+    sets: Option<Arc<CachedOutcome>>,
+}
+
+impl From<Response> for Reply {
+    fn from(response: Response) -> Reply {
+        Reply {
+            response,
+            sets: None,
+        }
+    }
+}
+
+impl Reply {
+    /// The wire form: the JSON line and its `\n`, in one buffer.
+    fn to_wire(&self) -> String {
+        let mqcs = self.sets.as_ref().map(|outcome| &outcome.mqcs);
+        let mut line = String::with_capacity(256 + mqcs.map_or(0, |m| m.as_str().len()));
+        self.response.write_line(&mut line, mqcs);
+        line.push('\n');
+        line
+    }
 }
 
 /// Least-recently-used result cache. Capacity is small (hundreds), so the
@@ -342,6 +390,20 @@ struct ServerState {
 }
 
 impl ServerState {
+    fn new(graph: Graph, settings: ServeSettings, wake: WakeTarget) -> ServerState {
+        ServerState {
+            prepared: RwLock::new(Arc::new(PreparedGraph::new(graph))),
+            update_lock: Mutex::new(()),
+            gate: Gate::new(settings.max_inflight),
+            cache: Mutex::new(ResultCache::new(settings.cache_capacity)),
+            settings,
+            stats: ServeStats::default(),
+            shutdown: AtomicBool::new(false),
+            active_connections: AtomicUsize::new(0),
+            wake,
+        }
+    }
+
     fn snapshot(&self) -> Arc<PreparedGraph> {
         let guard = unpoison(self.prepared.read());
         Arc::clone(&guard)
@@ -421,7 +483,12 @@ enum Listener {
 impl Listener {
     fn accept(&self) -> std::io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            // Every answer leaves in one write, so Nagle's algorithm can only
+            // delay it (holding its tail for the client's delayed ACK).
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
+                s.set_nodelay(true)?;
+                Ok(Stream::Tcp(s))
+            }),
             #[cfg(unix)]
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
@@ -467,17 +534,7 @@ fn serve_on(
 ) -> ServeSummary {
     let bench_log = settings.bench_log.clone();
     let graph_label = settings.graph_label.clone();
-    let state = Arc::new(ServerState {
-        prepared: RwLock::new(Arc::new(PreparedGraph::new(graph))),
-        update_lock: Mutex::new(()),
-        gate: Gate::new(settings.max_inflight),
-        cache: Mutex::new(ResultCache::new(settings.cache_capacity)),
-        settings,
-        stats: ServeStats::default(),
-        shutdown: AtomicBool::new(false),
-        active_connections: AtomicUsize::new(0),
-        wake,
-    });
+    let state = Arc::new(ServerState::new(graph, settings, wake));
 
     loop {
         match listener.accept() {
@@ -647,37 +704,44 @@ fn drain_line<R: BufRead>(reader: &mut R, budget: usize) -> std::io::Result<()> 
 }
 
 fn handle_connection(stream: Stream, state: &Arc<ServerState>) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    serve_lines(BufReader::new(stream.try_clone()?), stream, state)
+}
+
+/// Answers the request lines of one connection in order, until EOF, a
+/// `shutdown` or an oversized line. Each response leaves as one buffer, the
+/// line and its `\n`, in one `write_all` and one flush.
+fn serve_lines<R: BufRead, W: Write>(
+    mut reader: R,
+    mut writer: W,
+    state: &ServerState,
+) -> std::io::Result<()> {
+    let mut send = |reply: &Reply| {
+        writer.write_all(reply.to_wire().as_bytes())?;
+        writer.flush()
+    };
     loop {
         let line = match read_line_bounded(&mut reader, MAX_LINE_BYTES)? {
-            LineRead::Eof => break,
+            LineRead::Eof => return Ok(()),
             LineRead::TooLong => {
                 state.stats.requests.fetch_add(1, Ordering::Relaxed);
                 state.stats.errors.fetch_add(1, Ordering::Relaxed);
                 let response =
                     Response::failure(None, format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-                writer.write_all(response.to_line().as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                break;
+                return send(&response.into());
             }
             LineRead::Line(line) => line,
         };
         if line.trim().is_empty() {
             continue;
         }
-        let (response, shutdown) = handle_line(state, &line);
-        writer.write_all(response.to_line().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        let (reply, shutdown) = handle_line(state, &line);
+        send(&reply)?;
         if shutdown {
             state.shutdown.store(true, Ordering::SeqCst);
             state.wake.wake();
-            break;
+            return Ok(());
         }
     }
-    Ok(())
 }
 
 /// Best human-readable rendering of a panic payload (panics almost always
@@ -692,12 +756,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn handle_line(state: &ServerState, line: &str) -> (Response, bool) {
+fn handle_line(state: &ServerState, line: &str) -> (Reply, bool) {
     state.stats.requests.fetch_add(1, Ordering::Relaxed);
     match Request::parse_line(line) {
         Err(e) => {
             state.stats.errors.fetch_add(1, Ordering::Relaxed);
-            (Response::failure(None, e), false)
+            (Response::failure(None, e).into(), false)
         }
         Ok(req) => {
             // Containment boundary: a panicking handler answers *this*
@@ -725,7 +789,7 @@ fn handle_line(state: &ServerState, line: &str) -> (Response, bool) {
                     response
                         .extra
                         .push(("error_kind".to_string(), Value::Str("internal".to_string())));
-                    (response, false)
+                    (response.into(), false)
                 }
             }
         }
@@ -768,7 +832,7 @@ fn fault_gate(state: &ServerState, req: &Request) -> Option<Response> {
     }
 }
 
-fn handle_request(state: &ServerState, req: Request) -> (Response, bool) {
+fn handle_request(state: &ServerState, req: Request) -> (Reply, bool) {
     let arrival = Instant::now();
     // Version negotiation: a stamped request from a peer speaking a
     // different protocol version is rejected with a typed failure before
@@ -777,14 +841,14 @@ fn handle_request(state: &ServerState, req: Request) -> (Response, bool) {
     if let Some(theirs) = req.version {
         if theirs != PROTOCOL_VERSION {
             state.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return (Response::version_mismatch(req.id, theirs), false);
+            return (Response::version_mismatch(req.id, theirs).into(), false);
         }
     }
     if let Some(response) = fault_gate(state, &req) {
-        return (response, false);
+        return (response.into(), false);
     }
     match req.cmd.as_str() {
-        "ping" => (ping_response(state, &req), false),
+        "ping" => (ping_response(state, &req).into(), false),
         // Updates mutate the graph, so they bypass the result cache entirely
         // (rather: they rewrite it) and are never stored in it.
         "update" => {
@@ -792,22 +856,23 @@ fn handle_request(state: &ServerState, req: Request) -> (Response, bool) {
             if !response.ok {
                 state.stats.errors.fetch_add(1, Ordering::Relaxed);
             }
-            (response, false)
+            (response.into(), false)
         }
         "shutdown" => (
             Response {
                 id: req.id,
                 ok: true,
                 ..Response::default()
-            },
+            }
+            .into(),
             true,
         ),
         _ => {
-            let response = compute_response(state, req, arrival);
-            if !response.ok {
+            let reply = compute_response(state, req, arrival);
+            if !reply.response.ok {
                 state.stats.errors.fetch_add(1, Ordering::Relaxed);
             }
-            (response, false)
+            (reply, false)
         }
     }
 }
@@ -994,10 +1059,10 @@ fn stringify(e: CliError) -> String {
     e.to_string()
 }
 
-fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Response {
+fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Reply {
     let mut config = match build_request_config(&req) {
         Ok(config) => config,
-        Err(e) => return Response::failure(req.id, e),
+        Err(e) => return Response::failure(req.id, e).into(),
     };
     // `fault_gate` already vetted the field; only the worker mode reaches
     // this point. The anchor flows to the DC drivers through the params so
@@ -1014,6 +1079,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                     req.id,
                     format!("bad fault anchor {anchor:?} (expected panic-worker:<vertex>)"),
                 )
+                .into()
             }
         }
     }
@@ -1022,7 +1088,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
     // never be served to a clean request.
     let use_cache = !req.no_cache && req.fault.is_none();
     if req.cmd == "query" && req.vertices.is_empty() {
-        return Response::failure(req.id, "`query` needs a non-empty `vertices` list");
+        return Response::failure(req.id, "`query` needs a non-empty `vertices` list").into();
     }
     let deadline = req
         .deadline_ms
@@ -1038,7 +1104,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
         match hit {
             Some(outcome) => {
                 state.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return render(&req, &outcome, true, false, false, arrival);
+                return render(&req, outcome, true, false, false, arrival);
             }
             None => {
                 state.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -1056,7 +1122,8 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
             best_effort: true,
             elapsed_ms: arrival.elapsed().as_secs_f64() * 1e3,
             ..Response::default()
-        };
+        }
+        .into();
     }
     let _slot = GateGuard(&state.gate);
 
@@ -1094,12 +1161,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
             let contained = result.stats.subproblem_panics;
             let mut extra = vec![("s2_engine".to_string(), Value::Str(result.s2.to_string()))];
             panic_extras(&result.stats, &mut extra);
-            let outcome = CachedOutcome {
-                cmd: req.cmd.clone(),
-                vertices: Vec::new(),
-                mqcs: result.mqcs,
-                extra,
-            };
+            let outcome = CachedOutcome::new(&req, Vec::new(), &result.mqcs, extra);
             (
                 outcome,
                 timed_out || s2_timed_out || contained > 0,
@@ -1110,7 +1172,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
             let result =
                 match mqce_core::find_mqcs_containing(prepared.graph(), &req.vertices, &config) {
                     Ok(result) => result,
-                    Err(e) => return Response::failure(req.id, e.to_string()),
+                    Err(e) => return Response::failure(req.id, e.to_string()).into(),
                 };
             let s2_timed_out = result.s2_timed_out;
             let contained = result.stats.subproblem_panics;
@@ -1119,12 +1181,7 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                 Value::Num(result.universe_size as f64),
             )];
             panic_extras(&result.stats, &mut extra);
-            let outcome = CachedOutcome {
-                cmd: req.cmd.clone(),
-                vertices: req.vertices.clone(),
-                mqcs: result.mqcs,
-                extra,
-            };
+            let outcome = CachedOutcome::new(&req, req.vertices.clone(), &result.mqcs, extra);
             (outcome, s2_timed_out || contained > 0, s2_timed_out)
         }
         "topk" => {
@@ -1135,20 +1192,16 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                 Some(config),
             ) {
                 Ok(result) => result,
-                Err(e) => return Response::failure(req.id, e.to_string()),
+                Err(e) => return Response::failure(req.id, e.to_string()).into(),
             };
-            let outcome = CachedOutcome {
-                cmd: req.cmd.clone(),
-                vertices: Vec::new(),
-                mqcs: result.mqcs,
-                extra: vec![
-                    (
-                        "final_theta".to_string(),
-                        Value::Num(result.final_theta as f64),
-                    ),
-                    ("rounds".to_string(), Value::Num(result.rounds as f64)),
-                ],
-            };
+            let extra = vec![
+                (
+                    "final_theta".to_string(),
+                    Value::Num(result.final_theta as f64),
+                ),
+                ("rounds".to_string(), Value::Num(result.rounds as f64)),
+            ];
+            let outcome = CachedOutcome::new(&req, Vec::new(), &result.mqcs, extra);
             // Top-k does not surface its inner S2 flags; a spent deadline is
             // still detectable from the clock.
             let expired = deadline.is_some_and(|d| Instant::now() >= d);
@@ -1159,8 +1212,9 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
                 req.id,
                 "`shard_run` is answered by `mqce shard-worker` processes, not the daemon",
             )
+            .into()
         }
-        other => return Response::failure(req.id, format!("unknown command {other:?}")),
+        other => return Response::failure(req.id, format!("unknown command {other:?}")).into(),
     };
 
     // A deadline that expired mid-run means the answer may be partial even
@@ -1175,18 +1229,21 @@ fn compute_response(state: &ServerState, req: Request, arrival: Instant) -> Resp
             .cache_evictions
             .fetch_add(evicted, Ordering::Relaxed);
     }
-    render(&req, &outcome, false, best_effort, s2_timed_out, arrival)
+    render(&req, outcome, false, best_effort, s2_timed_out, arrival)
 }
 
+/// Answers `req` from `outcome`. The family is never copied here: a `sets`
+/// reply carries the shared outcome, whose encoded sets are spliced into the
+/// line as it is written.
 fn render(
     req: &Request,
-    outcome: &CachedOutcome,
+    outcome: Arc<CachedOutcome>,
     cached: bool,
     best_effort: bool,
     s2_timed_out: bool,
     arrival: Instant,
-) -> Response {
-    Response {
+) -> Reply {
+    let response = Response {
         id: req.id.clone(),
         ok: true,
         error: None,
@@ -1194,9 +1251,13 @@ fn render(
         best_effort,
         s2_timed_out,
         elapsed_ms: arrival.elapsed().as_secs_f64() * 1e3,
-        count: outcome.mqcs.len(),
-        mqcs: req.sets.then(|| outcome.mqcs.clone()),
+        count: outcome.count,
+        mqcs: None,
         extra: outcome.extra.clone(),
+    };
+    Reply {
+        response,
+        sets: req.sets.then_some(outcome),
     }
 }
 
@@ -1339,7 +1400,10 @@ fn connect_with_retry(parsed: &ParsedArgs) -> Result<Stream, CliError> {
             }
         }
         let addr = parsed.get("addr").unwrap_or("127.0.0.1:7621");
-        TcpStream::connect(addr).map(Stream::Tcp)
+        // Each request leaves in one write; see `Listener::accept`.
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Stream::Tcp(stream))
     };
     let mut attempt = 0u32;
     loop {
@@ -1355,11 +1419,11 @@ fn connect_with_retry(parsed: &ParsedArgs) -> Result<Stream, CliError> {
     }
 }
 
-/// One client connection: paired buffered reader/writer over a cloned
-/// stream, so a failed round trip can be retried on a fresh connection.
+/// One client connection: a buffered reader and the raw stream it was cloned
+/// from, so a failed round trip can be retried on a fresh connection.
 struct ClientConn {
     reader: BufReader<Stream>,
-    writer: BufWriter<Stream>,
+    writer: Stream,
 }
 
 impl ClientConn {
@@ -1368,14 +1432,17 @@ impl ClientConn {
         let reader = BufReader::new(stream.try_clone().map_err(io_err)?);
         Ok(ClientConn {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
         })
     }
 
-    /// Sends one request line and reads one response line.
+    /// Sends one request line (line and `\n` in one write) and reads one
+    /// response line.
     fn round_trip(&mut self, line: &str) -> Result<String, CliError> {
-        self.writer.write_all(line.as_bytes()).map_err(io_err)?;
-        self.writer.write_all(b"\n").map_err(io_err)?;
+        let mut wire = String::with_capacity(line.len() + 1);
+        wire.push_str(line);
+        wire.push('\n');
+        self.writer.write_all(wire.as_bytes()).map_err(io_err)?;
         self.writer.flush().map_err(io_err)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response).map_err(io_err)?;
@@ -1561,12 +1628,11 @@ mod tests {
     }
 
     fn outcome(cmd: &str, vertices: &[u32]) -> Arc<CachedOutcome> {
-        Arc::new(CachedOutcome {
+        let req = Request {
             cmd: cmd.to_string(),
-            vertices: vertices.to_vec(),
-            mqcs: Vec::new(),
-            extra: Vec::new(),
-        })
+            ..Request::default()
+        };
+        Arc::new(CachedOutcome::new(&req, vertices.to_vec(), &[], Vec::new()))
     }
 
     #[test]
@@ -1614,5 +1680,94 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.get("00bb|query|x").is_some());
         assert!(cache.get("00aa|query|x").is_none());
+    }
+
+    /// Records each `write` / `write_all` call as one entry.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            self.writes.push(buf.to_vec());
+            Ok(())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_one_write_of_its_line_and_newline() {
+        // Two disjoint 5-cliques and a path between them.
+        let mut edges = Vec::new();
+        for base in [0u32, 5] {
+            for u in base..base + 5 {
+                for v in u + 1..base + 5 {
+                    edges.push((u, v));
+                }
+            }
+        }
+        edges.extend([(4, 10), (10, 5)]);
+        let state = ServerState::new(
+            Graph::from_edges(11, &edges),
+            ServeSettings::default(),
+            WakeTarget::Tcp(SocketAddr::from(([127, 0, 0, 1], 0))),
+        );
+        let requests = [
+            r#"{"cmd":"ping","id":"p"}"#,
+            r#"{"cmd":"enumerate","gamma":0.9,"theta":3,"sets":true}"#,
+            r#"{"cmd":"enumerate","gamma":0.9,"theta":3,"sets":true}"#,
+            r#"{"cmd":"query","gamma":0.9,"theta":3,"vertices":[7],"sets":true}"#,
+            r#"{"cmd":"enumerate","gamma":0.9,"theta":3,"no_cache":true}"#,
+            "not json",
+            "",
+            r#"{"cmd":"topk","gamma":0.9,"k":1,"sets":true}"#,
+        ];
+        let mut input = requests.join("\n");
+        input.push('\n');
+        input.push_str(&"x".repeat(MAX_LINE_BYTES + 1));
+        input.push_str("\n{\"cmd\":\"ping\"}\n");
+        let mut writer = CountingWriter::default();
+        serve_lines(input.as_bytes(), &mut writer, &state).unwrap();
+
+        // One write per non-blank request plus the refusal of the oversized
+        // line, after which the connection stops reading.
+        let answered = requests.iter().filter(|r| !r.is_empty()).count() + 1;
+        assert_eq!(writer.writes.len(), answered);
+        assert_eq!(writer.flushes, answered);
+        let responses: Vec<Response> = writer
+            .writes
+            .iter()
+            .map(|write| {
+                let text = std::str::from_utf8(write).unwrap();
+                let line = text.strip_suffix('\n').expect("ends in a newline");
+                assert!(!line.contains('\n'), "one line per write");
+                Response::parse_line(line).unwrap()
+            })
+            .collect();
+        let family = vec![vec![0, 1, 2, 3, 4], vec![5, 6, 7, 8, 9]];
+        assert_eq!(responses[1].mqcs.as_ref(), Some(&family));
+        assert!(!responses[1].cached);
+        // The cache hit splices the stored encoding: same family, same count.
+        assert!(responses[2].cached);
+        assert_eq!(responses[2].mqcs.as_ref(), Some(&family));
+        assert_eq!(responses[2].count, 2);
+        assert_eq!(responses[3].mqcs, Some(vec![vec![5, 6, 7, 8, 9]]));
+        assert_eq!((responses[4].count, responses[4].mqcs.is_none()), (2, true));
+        assert!(!responses[5].ok);
+        assert_eq!(responses[6].mqcs.as_ref().map(Vec::len), Some(1));
+        let refusal = responses.last().unwrap();
+        assert!(!refusal.ok);
+        assert!(refusal.error.as_deref().unwrap().contains("exceeds"));
     }
 }

@@ -936,3 +936,67 @@ fn cli_serve_and_client_roundtrip_over_unix_socket() {
     server.join().expect("server thread");
     assert!(!sock_path.exists(), "socket file must be cleaned up");
 }
+
+/// Cached `query` round trips on one connection that may spend 35 ms or more
+/// beyond the daemon's own `elapsed_ms`. Nagle's algorithm plus the client's
+/// delayed ACK holds back the tail of an answer that leaves in more than one
+/// write for ~40 ms, so this counts exactly those stalls; a loaded machine may
+/// add the odd scheduling delay, hence a small allowance above zero.
+const MAX_STALLED_ROUND_TRIPS: usize = 10;
+
+#[test]
+fn cached_answers_over_8_kib_do_not_stall_on_nagle() {
+    // Vertex 0 joined to a complete 6-partite graph with parts of 3: its
+    // maximal cliques pick one vertex per part, 3^6 = 729 sets of 7, and the
+    // `query` answer (~14 KiB) is larger than a default 8 KiB buffer.
+    let part = |v: u32| (v - 1) / 3;
+    let mut edges: Vec<(u32, u32)> = (1..=18).map(|v| (0, v)).collect();
+    for u in 1..=18 {
+        edges.extend((u + 1..=18).filter(|&v| part(u) != part(v)).map(|v| (u, v)));
+    }
+    let graph = Graph::from_edges(19, &edges);
+    let (addr, handle) = start_daemon(graph, ServeSettings::default());
+
+    let stream = TcpStream::connect(addr).expect("connect to daemon");
+    stream.set_nodelay(true).expect("client nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let request = Request {
+        cmd: "query".to_string(),
+        gamma: 1.0,
+        theta: 3,
+        vertices: vec![0],
+        sets: true,
+        ..Request::default()
+    };
+    let line = format!("{}\n", request.to_line());
+    let mut stalled = Vec::new();
+    // The first request computes and caches the answer; 40 hits follow.
+    for i in 0..41 {
+        let start = Instant::now();
+        writer.write_all(line.as_bytes()).expect("send request");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read response");
+        let client_ms = start.elapsed().as_secs_f64() * 1e3;
+        let response = Response::parse_line(reply.trim_end()).expect("parse response");
+        assert!(response.ok, "error: {:?}", response.error);
+        assert_eq!(response.count, 729);
+        assert!(
+            reply.len() > 8 << 10,
+            "answer is only {} bytes",
+            reply.len()
+        );
+        assert_eq!(response.cached, i > 0);
+        if i > 0 && client_ms - response.elapsed_ms >= 35.0 {
+            stalled.push(client_ms - response.elapsed_ms);
+        }
+    }
+    drop((reader, writer));
+    shutdown(addr);
+    handle.join().expect("daemon thread");
+    assert!(
+        stalled.len() <= MAX_STALLED_ROUND_TRIPS,
+        "{} of 40 cached round trips stalled (ms beyond elapsed_ms: {stalled:?})",
+        stalled.len()
+    );
+}
